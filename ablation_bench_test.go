@@ -3,7 +3,6 @@
 //   - the diversity term Div in the objective (paper Section 5),
 //   - random vs fixed hierarchy permutations (Section 6),
 //   - the number of hierarchies NH (the paper's quality/time dial),
-//   - sequential vs batched-parallel hierarchy evaluation (Section 6.3),
 //   - matching vs label-propagation coarsening in the partitioner.
 //
 // Each benchmark reports the achieved Coco quotient as a custom metric
@@ -65,12 +64,6 @@ func BenchmarkAblationNoDiv(b *testing.B) {
 // opposite fixed hierarchies of Figure 2.
 func BenchmarkAblationFixedPerms(b *testing.B) {
 	runTimerAblation(b, TimerOptions{NumHierarchies: 10, FixedPermutations: true})
-}
-
-// BenchmarkAblationParallel4 evaluates hierarchies in batches of 4
-// workers (Section 6.3's parallelization sketch).
-func BenchmarkAblationParallel4(b *testing.B) {
-	runTimerAblation(b, TimerOptions{NumHierarchies: 12, Workers: 4})
 }
 
 // BenchmarkAblationSwapRounds strengthens the per-level local search by

@@ -140,9 +140,13 @@ func uniqueRandomLabels(rng *rand.Rand, n, dim int) []bitvec.Label {
 }
 
 // TestSwapGainMatchesBruteForce verifies the O(deg) sibling-swap gain
-// formula against full recomputation of Coco+ over all label digits.
+// formula against full recomputation of Coco+ over all label digits,
+// and checks the two objective terms separately: a swap on an Lp digit
+// moves plain Coco by exactly the delta and leaves Div alone, while a
+// swap on an extension digit leaves Coco alone and moves Div by −delta.
 func TestSwapGainMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	lpChecked, extChecked := 0, 0
 	for trial := 0; trial < 100; trial++ {
 		n := 4 + rng.Intn(24)
 		dim := 3 + rng.Intn(8)
@@ -163,7 +167,6 @@ func TestSwapGainMatchesBruteForce(t *testing.T) {
 		for v, l := range labels {
 			byLabel[l] = v
 		}
-		checked := false
 		for u := 0; u < n; u++ {
 			if labels[u]&1 != 0 {
 				continue
@@ -172,21 +175,35 @@ func TestSwapGainMatchesBruteForce(t *testing.T) {
 			if !ok {
 				continue
 			}
-			want := func() int64 {
-				before := cocoPlusOfLabels(g, labels, lpMask, extMask)
-				labels[u], labels[v] = labels[v], labels[u]
-				after := cocoPlusOfLabels(g, labels, lpMask, extMask)
-				labels[u], labels[v] = labels[v], labels[u] // restore
-				return after - before
-			}()
+			before := cocoPlusOfLabels(g, labels, lpMask, extMask)
+			cocoBefore, divBefore := cocoAndDivOfLabels(g, labels, lpMask, extMask)
+			labels[u], labels[v] = labels[v], labels[u]
+			after := cocoPlusOfLabels(g, labels, lpMask, extMask)
+			cocoAfter, divAfter := cocoAndDivOfLabels(g, labels, lpMask, extMask)
+			labels[u], labels[v] = labels[v], labels[u] // restore
 			got := siblingSwapDelta(g, labels, u, v, sign)
-			if got != want {
+			if want := after - before; got != want {
 				t.Fatalf("trial %d: swap delta = %d, brute force = %d (u=%d v=%d sign=%d)",
 					trial, got, want, u, v, sign)
 			}
-			checked = true
+			dCoco, dDiv := cocoAfter-cocoBefore, divAfter-divBefore
+			if sign == 1 {
+				if dCoco != got || dDiv != 0 {
+					t.Fatalf("trial %d: Lp-digit swap moved Coco by %d and Div by %d, want %d and 0",
+						trial, dCoco, dDiv, got)
+				}
+				lpChecked++
+			} else {
+				if dCoco != 0 || dDiv != -got {
+					t.Fatalf("trial %d: extension-digit swap moved Coco by %d and Div by %d, want 0 and %d",
+						trial, dCoco, dDiv, -got)
+				}
+				extChecked++
+			}
 		}
-		_ = checked
+	}
+	if lpChecked == 0 || extChecked == 0 {
+		t.Fatalf("checked %d Lp-digit and %d extension-digit swaps, want both > 0", lpChecked, extChecked)
 	}
 }
 

@@ -56,6 +56,34 @@ func TestTryHierarchyWarmScratchZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestRunHierarchiesWarmScratchZeroAllocs extends the guarantee to the
+// whole hierarchy loop: without Spawn, a run on a warm Scratch performs
+// no heap allocation — the permutation table, trial table, best-Coco
+// labels and the round's WaitGroup all live in the Scratch.
+func TestRunHierarchiesWarmScratchZeroAllocs(t *testing.T) {
+	lab := benchInstance(t)
+	start := append([]bitvec.Label(nil), lab.Labels...)
+	opt := Options{NumHierarchies: 8}.withDefaults()
+	rng := rand.New(rand.NewSource(9))
+	res := &Result{}
+	sc := NewScratch()
+	// Every run restarts from the same labeling and rng state, so it
+	// needs exactly the buffer sizes the warm-up run grew.
+	run := func() {
+		copy(lab.Labels, start)
+		rng.Seed(9)
+		*res = Result{}
+		runHierarchies(lab, opt, rng, res, sc)
+	}
+	run()
+	if res.SwapsApplied == 0 {
+		t.Fatal("warm-up run applied no swaps; the check would skip assembly")
+	}
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Errorf("warm-scratch runHierarchies allocates %.1f times per run, want 0", allocs)
+	}
+}
+
 // BenchmarkSuffixTrieAssemble isolates the Algorithm 2 half of a trial:
 // rebuilding the counting trie and assembling a fine labeling from a
 // built hierarchy.

@@ -11,10 +11,11 @@ import (
 // permuted-label and candidate buffers, the hierarchy levels (label,
 // parent and coarse-graph storage per level), the suffix-trie backing
 // arrays, the sign table, the open-addressed label indexes and the
-// compiled permutation shift tables. One hierarchy trial — the unit the
-// main loop runs NumHierarchies times per job — performs zero heap
-// allocations once its Scratch is warm; everything is reset in place
-// between trials.
+// compiled permutation shift tables, plus the tables of the hierarchy
+// loop itself. One hierarchy trial — the unit the main loop runs
+// NumHierarchies times per job — performs zero heap allocations once
+// its Scratch is warm, and so does the whole loop when it runs without
+// Spawn; everything is reset in place between trials.
 //
 // Engine workers keep one Scratch per worker goroutine and pass it via
 // Options.Scratch; library callers can ignore it (Enhance then borrows
@@ -36,6 +37,12 @@ type Scratch struct {
 	assembled []bitvec.Label // assemble() output, still in permuted space
 	cand      []bitvec.Label // candidate labels in original digit order
 	path      []int32        // trie walk of one vertex during assemble
+
+	// Tables of runHierarchies.
+	pis    []uint8        // permutation table, one row of dimGa digits per hierarchy (see pi)
+	trials []trial        // one round's trials; trials[0] is computed with this Scratch
+	best   []bitvec.Label // accepted state with the lowest plain Coco
+	wg     sync.WaitGroup // the round's speculative helpers
 }
 
 // NewScratch returns an empty Scratch. Buffers are grown on first use
@@ -48,12 +55,15 @@ func NewScratch() *Scratch {
 }
 
 // scratchPool hands out Scratches to Enhance calls that did not bring
-// their own (Options.Scratch == nil) and to the extra goroutines of a
-// parallel hierarchy batch.
+// their own (Options.Scratch == nil) and to the speculative helpers of
+// a wide run.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 func getScratch() *Scratch  { return scratchPool.Get().(*Scratch) }
 func putScratch(s *Scratch) { scratchPool.Put(s) }
+
+// pi returns hierarchy h's permutation from the loop's table.
+func (sc *Scratch) pi(h, dimGa int) bitvec.Permutation { return sc.pis[h*dimGa : (h+1)*dimGa] }
 
 // level returns &sc.levels[k], extending the level storage as needed.
 func (sc *Scratch) level(k int) *hlevel {

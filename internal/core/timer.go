@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/graph"
@@ -34,13 +34,10 @@ type Options struct {
 	// between the identity and the digit-reversing permutation (the two
 	// opposite hierarchies of Figure 2).
 	FixedPermutations bool
-	// Workers > 1 evaluates hierarchies in concurrent batches — the
-	// "effective first step toward a parallel version" the paper
-	// sketches in Section 6.3. Each batch builds Workers independent
-	// hierarchies from the current labeling and accepts the best
-	// candidate. Results remain deterministic for a fixed seed; the
-	// search trajectory differs from the sequential one because
-	// hierarchies within a batch do not see each other's improvements.
+	// Deprecated: Workers does nothing. It used to select a batched
+	// hierarchy loop whose search trajectory differed from the
+	// sequential one; Spawn parallelizes the loop without changing the
+	// result.
 	Workers int
 	// SwapRounds repeats the sibling-swap pass on each hierarchy level
 	// until it converges or the bound is hit (default 1, the paper's
@@ -49,16 +46,15 @@ type Options struct {
 	// rounds are the cheapest such strengthening.
 	SwapRounds int
 
-	// Spawn, when non-nil, enables wide execution of the sequential
-	// hierarchy loop: upcoming trials are evaluated speculatively on
-	// other goroutines while the loop's exact acceptance order is
-	// replayed afterwards, so the result — labels and every counter —
-	// is byte-identical to the Spawn == nil run (unlike Workers > 1,
-	// which changes the search trajectory). Spawn must either run the
+	// Spawn, when non-nil, enables wide execution of the hierarchy
+	// loop: upcoming trials are evaluated speculatively on other
+	// goroutines while the loop's exact acceptance order is replayed
+	// afterwards, so the result — labels and every counter — is
+	// byte-identical to the Spawn == nil run. Spawn must either run the
 	// function (on any goroutine, returning true immediately) or
 	// decline by returning false; it must be safe for concurrent calls.
 	// The engine's wide mode supplies a pool-occupancy-gated Spawn.
-	// Ignored when Workers > 1. See runHierarchiesWide.
+	// See runHierarchies.
 	Spawn func(func()) bool
 
 	// Scratch, when non-nil, supplies the reusable hot-path buffers of
@@ -72,9 +68,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.NumHierarchies <= 0 {
 		o.NumHierarchies = DefaultNumHierarchies
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 	if o.SwapRounds <= 0 {
 		o.SwapRounds = 1
@@ -129,14 +122,7 @@ func Enhance(ga *graph.Graph, topo *topology.Topology, assign []int32, opt Optio
 			sc = getScratch()
 			defer putScratch(sc)
 		}
-		switch {
-		case opt.Workers > 1:
-			runHierarchiesParallel(lab, opt, rng, res, sc)
-		case opt.Spawn != nil:
-			runHierarchiesWide(lab, opt, rng, res, sc)
-		default:
-			runHierarchies(lab, opt, rng, res, sc)
-		}
+		runHierarchies(lab, opt, rng, res, sc)
 	}
 	res.CocoAfter = lab.Coco()
 	res.CocoPlusAfter = lab.CocoPlus()
@@ -157,15 +143,19 @@ func objectiveMasks(lab *Labeling, opt Options) (plus, minus uint64) {
 	return plus, minus
 }
 
-// pickPermutation returns the h-th hierarchy permutation.
-func pickPermutation(h, dimGa int, opt Options, rng *rand.Rand) bitvec.Permutation {
-	if opt.FixedPermutations {
-		if h%2 == 0 {
-			return bitvec.Identity(dimGa)
-		}
-		return bitvec.Reverse(dimGa)
+// pickPermutation draws the h-th hierarchy permutation into p, whose
+// length is the label dimension. The random case consumes rng exactly
+// like bitvec.Random.
+func pickPermutation(p bitvec.Permutation, h int, opt Options, rng *rand.Rand) {
+	for i := range p {
+		p[i] = uint8(i)
 	}
-	return bitvec.Random(rng, dimGa)
+	switch {
+	case !opt.FixedPermutations:
+		rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	case h%2 == 1:
+		slices.Reverse(p) // the digit-reversing permutation
+	}
 }
 
 // trial is the outcome of building and assembling one hierarchy.
@@ -264,21 +254,94 @@ func tryHierarchy(ga *graph.Graph, base []bitvec.Label, dimGa int,
 // an enhancer whose output is measured in Coco, tracking the best
 // accepted Coco state guarantees the enhancement property without
 // changing the search trajectory.
+//
+// The loop runs in rounds so that opt.Spawn can speculate upcoming
+// trials without changing the result. The loop chains state — each
+// trial starts from the current accepted labeling and the current
+// Coco+ threshold — so naive fan-out would change the search. But most
+// trials do NOT change that state: a rejected trial mutates nothing,
+// and an accepted zero-swap trial reproduces the base labeling exactly
+// and leaves the threshold where it was (its Coco+ ties the threshold,
+// and ties are accepted). Only a trial that is accepted with swaps
+// applied ("a mutation") advances the base labeling.
+//
+// So each round evaluates trials h, h+1, … concurrently from the
+// current state: trial h on the caller, the rest on goroutines granted
+// by opt.Spawn, each with its own pooled Scratch. After the round
+// joins, the trials are scanned in h-order applying the acceptance rule
+// verbatim; the scan stops consuming at the first mutation, whose
+// successors were speculated from a stale base and are discarded
+// (recomputed next round from the updated state). Every consumed trial
+// therefore sees exactly the inputs a one-trial round would have given
+// it, making labels and counters byte-identical at any width —
+// speculation only ever costs wasted helper work, never a different
+// answer. Wall-clock approaches NumHierarchies/(mutations+1) trial
+// times; with a typical handful of mutations concentrated in the early
+// trials, that is near-linear in the granted width.
+//
+// With Spawn == nil every round is one trial wide and no helper closure
+// is ever built; the permutation table, trial table, best-Coco labels
+// and the round's WaitGroup all live in sc, so a run on a warm Scratch
+// performs no heap allocation.
 func runHierarchies(lab *Labeling, opt Options, rng *rand.Rand, res *Result, sc *Scratch) {
-	ga := lab.Ga
-	dimGa := lab.DimGa
+	ga, dimGa, nh, rounds := lab.Ga, lab.DimGa, opt.NumHierarchies, opt.SwapRounds
 	plusMask, minusMask := objectiveMasks(lab, opt)
 	curCoco, curDiv := cocoAndDivOfLabels(ga, lab.Labels, plusMask, minusMask)
 	bestCocoPlus := curCoco - curDiv
 	bestCoco := curCoco
-	bestCocoLabels := append([]bitvec.Label(nil), lab.Labels...)
+	sc.best = append(sc.best[:0], lab.Labels...)
 
-	for h := 0; h < opt.NumHierarchies; h++ {
-		pi := pickPermutation(h, dimGa, opt, rng)
-		t := tryHierarchy(ga, lab.Labels, dimGa, pi, plusMask, minusMask, opt.SwapRounds,
+	// The permutations are all drawn up front: the shared rng is consumed
+	// nowhere else in the loop, one draw per trial in h-order, so
+	// pre-drawing consumes the identical stream.
+	sc.pis = graph.Resize(sc.pis, nh*dimGa)
+	for h := 0; h < nh; h++ {
+		pickPermutation(sc.pi(h, dimGa), h, opt, rng)
+	}
+	sc.trials = graph.Resize(sc.trials, nh)
+	trials := sc.trials
+	// helpers[i-1] computes trials[i] of a round; grown to the widest
+	// round and returned to the pool at the end.
+	var helpers []*Scratch
+	// Should the caller's own trial panic, no helper may outlive the run:
+	// they write into sc.trials, which the next run on sc reuses.
+	defer sc.wg.Wait()
+
+	for h := 0; h < nh; {
+		// Launch as many speculative helpers as Spawn grants, then run
+		// trial h on the caller. Greedy width is wall-clock optimal: a
+		// round ends at the next mutation wherever it falls, and the
+		// grant gate (the engine's pool occupancy) is what bounds wasted
+		// helper work under load.
+		width := 1
+		for opt.Spawn != nil && width < nh-h {
+			if len(helpers) < width {
+				helpers = append(helpers, getScratch())
+			}
+			pi, slot, out := sc.pi(h+width, dimGa), helpers[width-1], &trials[width]
+			base, thr := curCoco, bestCocoPlus
+			sc.wg.Add(1)
+			if !opt.Spawn(func() {
+				defer sc.wg.Done()
+				*out = tryHierarchy(ga, lab.Labels, dimGa, pi, plusMask, minusMask, rounds, base, thr, slot)
+			}) {
+				sc.wg.Done() // the task never ran; undo its Add
+				break
+			}
+			width++
+		}
+		trials[0] = tryHierarchy(ga, lab.Labels, dimGa, sc.pi(h, dimGa), plusMask, minusMask, rounds,
 			curCoco, bestCocoPlus, sc)
-		// Lines 17-19: keep only if Coco+ did not get worse.
-		if t.cocoPlus <= bestCocoPlus {
+		sc.wg.Wait()
+
+		// Replay the sequential acceptance over the round in h-order.
+		consumed := width
+		for j := 0; j < width; j++ {
+			t := &trials[j]
+			// Lines 17-19: keep only if Coco+ did not get worse.
+			if t.cocoPlus > bestCocoPlus {
+				continue // rejected: state untouched, speculation holds
+			}
 			copy(lab.Labels, t.labels)
 			bestCocoPlus = t.cocoPlus
 			curCoco = t.coco
@@ -288,84 +351,26 @@ func runHierarchies(lab *Labeling, opt Options, rng *rand.Rand, res *Result, sc 
 			res.Repairs += t.repairs
 			if t.coco < bestCoco {
 				bestCoco = t.coco
-				copy(bestCocoLabels, t.labels)
+				copy(sc.best, t.labels)
+			}
+			if t.swaps > 0 {
+				// A mutation: the base labeling changed, so the rest of
+				// the round speculated from a stale base. Consume up to
+				// here; the successors rerun next round.
+				consumed = j + 1
+				break
 			}
 		}
+		h += consumed
 	}
 	// Return the accepted state with the best plain Coco (see doc above).
-	copy(lab.Labels, bestCocoLabels)
-}
-
-// runHierarchiesParallel evaluates hierarchies in concurrent batches of
-// opt.Workers: all hierarchies of a batch start from the same labeling;
-// the best improving candidate (ties broken by batch index, keeping the
-// result deterministic) is accepted before the next batch starts.
-func runHierarchiesParallel(lab *Labeling, opt Options, rng *rand.Rand, res *Result, sc *Scratch) {
-	ga := lab.Ga
-	dimGa := lab.DimGa
-	plusMask, minusMask := objectiveMasks(lab, opt)
-	curCoco, curDiv := cocoAndDivOfLabels(ga, lab.Labels, plusMask, minusMask)
-	bestCocoPlus := curCoco - curDiv
-	bestCoco := curCoco
-	bestCocoLabels := append([]bitvec.Label(nil), lab.Labels...)
-
-	// One scratch per concurrent slot, reused across batches; slot 0 is
-	// the caller's.
-	scs := make([]*Scratch, opt.Workers)
-	scs[0] = sc
-	for i := 1; i < len(scs); i++ {
-		scs[i] = getScratch()
-		defer putScratch(scs[i])
+	copy(lab.Labels, sc.best)
+	for _, s := range helpers {
+		putScratch(s)
 	}
-
-	remaining := opt.NumHierarchies
-	h := 0
-	for remaining > 0 {
-		batch := opt.Workers
-		if batch > remaining {
-			batch = remaining
-		}
-		// Draw the batch's permutations up front from the shared rng so
-		// the schedule is deterministic regardless of goroutine timing.
-		pis := make([]bitvec.Permutation, batch)
-		for i := range pis {
-			pis[i] = pickPermutation(h+i, dimGa, opt, rng)
-		}
-		trials := make([]trial, batch)
-		var wg sync.WaitGroup
-		for i := 0; i < batch; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				trials[i] = tryHierarchy(ga, lab.Labels, dimGa, pis[i], plusMask, minusMask,
-					opt.SwapRounds, curCoco, bestCocoPlus, scs[i])
-			}(i)
-		}
-		wg.Wait()
-		bestI := -1
-		for i := range trials {
-			if trials[i].cocoPlus <= bestCocoPlus && (bestI < 0 || trials[i].cocoPlus < trials[bestI].cocoPlus) {
-				bestI = i
-			}
-		}
-		if bestI >= 0 {
-			t := &trials[bestI]
-			copy(lab.Labels, t.labels)
-			bestCocoPlus = t.cocoPlus
-			curCoco = t.coco
-			res.HierarchiesKept++
-			res.SwapsApplied += t.swaps
-			res.SwapGain += t.swapGain
-			res.Repairs += t.repairs
-			if t.coco < bestCoco {
-				bestCoco = t.coco
-				copy(bestCocoLabels, t.labels)
-			}
-		}
-		remaining -= batch
-		h += batch
-	}
-	copy(lab.Labels, bestCocoLabels)
+	// The helpers' trials alias their candidate buffers; dropping them
+	// lets the pool reclaim those Scratches.
+	clear(trials)
 }
 
 // EnhanceMapping is a convenience wrapper returning only the enhanced

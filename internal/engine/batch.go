@@ -25,13 +25,11 @@ type BatchSpec struct {
 	// derived seeds (default 1).
 	Reps int `json:"reps,omitempty"`
 
-	// Epsilon, Seed, NumHierarchies and TimerWorkers are forwarded into
-	// every generated JobSpec (Seed after per-job derivation — see
-	// BatchSeed).
+	// Epsilon, Seed and NumHierarchies are forwarded into every
+	// generated JobSpec (Seed after per-job derivation — see BatchSeed).
 	Epsilon        float64 `json:"epsilon,omitempty"`
 	Seed           int64   `json:"seed,omitempty"`
 	NumHierarchies int     `json:"num_hierarchies,omitempty"`
-	TimerWorkers   int     `json:"timer_workers,omitempty"`
 
 	// SharedPartition derives every job's partition seed from (batch
 	// seed, rep) only — the paper's experimental shape, where cases
@@ -110,7 +108,6 @@ func ExpandBatch(b BatchSpec) ([]JobSpec, error) {
 					Epsilon:        b.Epsilon,
 					Seed:           BatchSeed(seed, rep, b.Case),
 					NumHierarchies: b.NumHierarchies,
-					TimerWorkers:   b.TimerWorkers,
 				}
 				if b.SharedPartition {
 					spec.PartitionSeed = SharedPartitionSeed(seed, rep)
@@ -218,7 +215,6 @@ func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 					Epsilon:        b.Epsilon,
 					Seed:           BatchSeed(seed, rep, b.Case),
 					NumHierarchies: b.NumHierarchies,
-					TimerWorkers:   b.TimerWorkers,
 				}
 				if b.SharedPartition {
 					spec.PartitionSeed = SharedPartitionSeed(seed, rep)

@@ -253,9 +253,12 @@ type JobSpec struct {
 	PartitionSeed int64 `json:"partition_seed,omitempty"`
 	// NumHierarchies is TIMER's NH (default 50).
 	NumHierarchies int `json:"num_hierarchies,omitempty"`
-	// TimerWorkers > 1 evaluates TIMER hierarchies in concurrent batches
-	// (still deterministic for a fixed seed).
-	TimerWorkers int `json:"timer_workers,omitempty"`
+	// Deprecated: TimerWorkers does nothing. It used to select TIMER's
+	// batched hierarchy loop; wide mode parallelizes TIMER without
+	// changing results. It is not part of the JSON schema, so servers
+	// reject a spec that sets "timer_workers", and it never enters the
+	// canonical spec hash.
+	TimerWorkers int `json:"-"`
 	// SwapRounds repeats TIMER's sibling-swap pass per level (default 1).
 	SwapRounds int `json:"swap_rounds,omitempty"`
 	// Wide forces wide mode for this job: the partition and TIMER stages
@@ -633,7 +636,6 @@ func runPipeline(spec JobSpec, resolve func(string) (*topology.Topology, error),
 		tr, err := core.Enhance(ga, topo, assign, core.Options{
 			NumHierarchies: spec.NumHierarchies,
 			Seed:           spec.Seed,
-			Workers:        spec.TimerWorkers,
 			SwapRounds:     spec.SwapRounds,
 			Spawn:          spawn,
 			Scratch:        timerSc,

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,7 +19,7 @@ import (
 // mapd speaks, so mapclient (and curl) work unchanged against a fleet:
 //
 //	POST /v1/jobs          route one job by its spec hash
-//	POST /v1/batch         expand a batch and scatter its jobs
+//	POST /v1/batches       expand a batch and scatter its jobs
 //	GET  /v1/jobs/{id}     proxy a snapshot (add ?wait=1 to park until
 //	                       terminal; survives replica death by requeue)
 //	GET  /v1/stats         per-replica health, breaker state, failovers
@@ -27,7 +28,7 @@ import (
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", rt.submitJob)
-	mux.HandleFunc("POST /v1/batch", rt.submitBatch)
+	mux.HandleFunc("POST /v1/batches", rt.submitBatch)
 	mux.HandleFunc("GET /v1/jobs/{id}", rt.getJob)
 	mux.HandleFunc("GET /v1/stats", rt.statsHandler)
 	mux.HandleFunc("GET /healthz", rt.healthz)
@@ -69,7 +70,9 @@ func (rt *Router) submitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec engine.JobSpec
-	if err := json.Unmarshal(body, &spec); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}

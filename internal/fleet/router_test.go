@@ -2,10 +2,12 @@ package fleet_test
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -172,6 +174,71 @@ func TestRouterRoutesJobsToCompletion(t *testing.T) {
 	}
 	if before[changed] == 0 {
 		t.Error("resubmitted spec landed on a replica that had never seen it")
+	}
+}
+
+// TestRouterBatchesRoute drives POST /v1/batches — the batch route mapd
+// serves and the README documents — over HTTP and waits for every
+// returned job to finish. It also checks that the router, like mapd,
+// answers fields outside the spec schema (here the retired
+// timer_workers) with 400 on both submit routes.
+func TestRouterBatchesRoute(t *testing.T) {
+	urls := []string{
+		startReplicaAt(t, "", engine.Options{Workers: 2}).url(),
+		startReplicaAt(t, "", engine.Options{Workers: 2}).url(),
+	}
+	rt, srv := fastRouter(t, urls)
+	waitUsable(t, rt, 2)
+
+	post := func(path, body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	batch, err := json.Marshal(engine.BatchSpec{
+		Graphs:         []engine.GraphSpec{{Network: "p2p-Gnutella", Scale: 0.05, Seed: 11}},
+		Topologies:     []string{"grid:4x4", "hypercube:4"},
+		Reps:           2,
+		NumHierarchies: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := post("/v1/batches", string(batch))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/batches: status %d", resp.StatusCode)
+	}
+	var out struct {
+		JobIDs []string `json:"job_ids"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.JobIDs) != 4 {
+		t.Fatalf("batch returned %d jobs, want 4", len(out.JobIDs))
+	}
+	c := mapclient.New(srv.URL, mapclient.Config{AttemptTimeout: 15 * time.Second})
+	for _, id := range out.JobIDs {
+		job, err := c.WaitJob(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.Status != engine.StatusDone {
+			t.Fatalf("batch job %s: %s (%s)", id, job.Status, job.Error)
+		}
+	}
+
+	for path, body := range map[string]string{
+		"/v1/jobs":    `{"graph": {"network": "p2p-Gnutella", "scale": 0.05}, "topology": "grid:4x4", "timer_workers": 4}`,
+		"/v1/batches": `{"graphs": [{"network": "p2p-Gnutella", "scale": 0.05}], "topologies": ["grid:4x4"], "timer_workers": 4}`,
+	} {
+		if code := post(path, body).StatusCode; code != http.StatusBadRequest {
+			t.Errorf("POST %s with timer_workers: status %d, want 400", path, code)
+		}
 	}
 }
 

@@ -160,8 +160,16 @@ func TestMapdErrors(t *testing.T) {
 	if code := postJSON(t, srv.URL+"/v1/jobs", `{"bad json`, &out); code != http.StatusBadRequest {
 		t.Errorf("malformed body: status %d, want 400", code)
 	}
-	if code := postJSON(t, srv.URL+"/v1/jobs", `{"unknown_field": 1}`, &out); code != http.StatusBadRequest {
-		t.Errorf("unknown field: status %d, want 400", code)
+	// Fields outside the spec schema are refused, including the retired
+	// timer_workers on jobs and batches.
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/jobs", `{"unknown_field": 1}`},
+		{"/v1/jobs", `{"graph": {"n": 9, "edges": [[0,1,1]]}, "topology": "grid:2x2", "timer_workers": 4}`},
+		{"/v1/batches", `{"graphs": [{"n": 9, "edges": [[0,1,1]]}], "topologies": ["grid:2x2"], "timer_workers": 4}`},
+	} {
+		if code := postJSON(t, srv.URL+tc.path, tc.body, &out); code != http.StatusBadRequest {
+			t.Errorf("unknown field: POST %s %s: status %d, want 400", tc.path, tc.body, code)
+		}
 	}
 	if code := getJSON(t, srv.URL+"/v1/jobs/job-999999", &out); code != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", code)
