@@ -1,44 +1,66 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (Section 7). Each benchmark runs the corresponding
-// experiment at a reduced scale (the suite shrunk to CI size, fewer
-// repetitions, smaller NH) and reports the headline quantities as custom
-// benchmark metrics, so `go test -bench=.` doubles as a smoke
-// reproduction. cmd/experiments regenerates the full tables with
-// paper-sized parameters.
+// evaluation (Section 7). Each benchmark runs a small explicit
+// bench.Spec — three Table 1 networks shrunk to CI size, one
+// repetition, a small NH — through bench.Run and reports the headline
+// quantities of the corresponding table or figure as custom benchmark
+// metrics, so `go test -bench=.` doubles as a smoke reproduction.
+// `mapbench -full -report` renders the full tables with paper-sized
+// parameters.
 //
 // Metric naming: qCo_* is the geometric-mean Coco quotient after/before
-// TIMER (< 1 means TIMER improved the mapping), qCut_* the edge-cut
-// quotient, qT_* the time quotient vs the baseline.
+// TIMER per topology (< 1 means TIMER improved the mapping), qT_mean the
+// time quotient vs the baseline averaged over topologies, s_k*_total
+// the summed partitioning seconds of Table 3's columns.
 package repro
 
 import (
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/netgen"
 	"repro/internal/partition"
 	"repro/internal/topology"
 )
 
-// benchCfg is the reduced-scale configuration used by the table/figure
-// benchmarks.
-func benchCfg() experiments.Config {
-	return experiments.Config{Reps: 1, NH: 5, Epsilon: 0.03, Seed: 1}
+// benchSpec is the reduced-scale paper matrix behind the table and
+// figure benchmarks: three networks of different generator families
+// that outsize the 512-PE topologies at this scale.
+func benchSpec(topologies []string, cases ...string) bench.Spec {
+	return bench.Spec{
+		Name:           "paper-bench",
+		Networks:       []string{"citationCiteseer", "coAuthorsDBLP", "as-skitter"},
+		Scale:          0.004,
+		Topologies:     topologies,
+		Cases:          cases,
+		Reps:           1,
+		Seed:           1,
+		NumHierarchies: 5,
+	}
 }
 
-const (
-	benchScale = 0.004
-	benchMaxV  = 3000
-	benchMaxE  = 70000
-)
+// runBenchSpec runs the matrix b.N times and returns the last results.
+func runBenchSpec(b *testing.B, spec bench.Spec) *bench.Results {
+	b.Helper()
+	var res *bench.Results
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = bench.Run(spec, bench.RunOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		if res.Summary.Failed > 0 {
+			b.Fatalf("%d scenarios failed", res.Summary.Failed)
+		}
+	}
+	return res
+}
 
 // BenchmarkTable1NetworkSuite regenerates Table 1: the 15-network suite.
 func BenchmarkTable1NetworkSuite(b *testing.B) {
 	b.ReportAllocs()
 	var totalV, totalE int
 	for i := 0; i < b.N; i++ {
-		suite := netgen.GenerateSuite(netgen.SuiteOption{Scale: benchScale, Seed: int64(i)})
+		suite := netgen.GenerateSuite(netgen.SuiteOption{Scale: 0.004, Seed: int64(i)})
 		if len(suite) != 15 {
 			b.Fatalf("suite has %d networks, want 15", len(suite))
 		}
@@ -52,82 +74,73 @@ func BenchmarkTable1NetworkSuite(b *testing.B) {
 	b.ReportMetric(float64(totalE), "edges")
 }
 
-// benchCase runs one experimental case over the reduced suite and
-// reports the per-topology Coco quotients (the content of one Figure 5
-// subplot) plus the aggregate time quotient (one column group of
-// Table 2).
-func benchCase(b *testing.B, c experiments.Case) {
+// runCells runs the matrix and returns its Table 2 / Figure 5 cells
+// that hold scenarios.
+func runCells(b *testing.B, spec bench.Spec) []bench.PaperCell {
 	b.Helper()
-	var results []*experiments.SuiteResult
-	for i := 0; i < b.N; i++ {
-		suite, err := experiments.NewSuite(benchScale, benchMaxV, benchMaxE, benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		results, err = suite.RunCase(c, nil)
-		if err != nil {
-			b.Fatal(err)
+	var cells []bench.PaperCell
+	for _, c := range bench.PaperCells(runBenchSpec(b, spec)) {
+		if c.Networks > 0 {
+			cells = append(cells, c)
 		}
 	}
-	for _, sr := range results {
-		b.ReportMetric(sr.QCo.Mean, "qCo_"+sr.Topo)
+	return cells
+}
+
+// meanQT averages the cells' mean time quotients (Table 2's columns).
+func meanQT(cells []bench.PaperCell) float64 {
+	var sum float64
+	for _, c := range cells {
+		sum += c.QT.Mean
 	}
-	var qtSum float64
-	for _, sr := range results {
-		qtSum += sr.QT.Mean
+	return sum / float64(len(cells))
+}
+
+// benchCase runs one experimental case over the reduced matrix and
+// reports the per-topology Coco quotients (the content of one Figure 5
+// subplot) plus the case's time quotient (one column group of Table 2).
+func benchCase(b *testing.B, c string) {
+	b.Helper()
+	cells := runCells(b, benchSpec(bench.Paper().Topologies, c))
+	for _, cell := range cells {
+		b.ReportMetric(cell.QCo.Mean, "qCo_"+cell.Topology)
 	}
-	b.ReportMetric(qtSum/float64(len(results)), "qT_mean")
+	b.ReportMetric(meanQT(cells), "qT_mean")
 }
 
 // BenchmarkFigure5a_SCOTCH regenerates Figure 5a (case c1: TIMER on DRB
 // initial mappings) and the c1 columns of Table 2.
-func BenchmarkFigure5a_SCOTCH(b *testing.B) { benchCase(b, experiments.C1SCOTCH) }
+func BenchmarkFigure5a_SCOTCH(b *testing.B) { benchCase(b, "scotch") }
 
 // BenchmarkFigure5b_Identity regenerates Figure 5b (case c2).
-func BenchmarkFigure5b_Identity(b *testing.B) { benchCase(b, experiments.C2Identity) }
+func BenchmarkFigure5b_Identity(b *testing.B) { benchCase(b, "identity") }
 
 // BenchmarkFigure5c_GreedyAllC regenerates Figure 5c (case c3).
-func BenchmarkFigure5c_GreedyAllC(b *testing.B) { benchCase(b, experiments.C3GreedyAllC) }
+func BenchmarkFigure5c_GreedyAllC(b *testing.B) { benchCase(b, "greedyallc") }
 
 // BenchmarkFigure5d_GreedyMin regenerates Figure 5d (case c4).
-func BenchmarkFigure5d_GreedyMin(b *testing.B) { benchCase(b, experiments.C4GreedyMin) }
+func BenchmarkFigure5d_GreedyMin(b *testing.B) { benchCase(b, "greedymin") }
 
 // BenchmarkTable2RuntimeQuotients regenerates Table 2 across all four
 // cases (this is the full evaluation; the figure benchmarks above cover
 // its per-case columns individually).
 func BenchmarkTable2RuntimeQuotients(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		suite, err := experiments.NewSuite(benchScale, benchMaxV, benchMaxE, benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range experiments.Cases() {
-			if _, err := suite.RunCase(c, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	p := bench.Paper()
+	b.ReportMetric(meanQT(runCells(b, benchSpec(p.Topologies, p.Cases...))), "qT_mean")
 }
 
-// BenchmarkTable3PartitionTimes regenerates Table 3: partitioner
-// running times for |Vp| = 256 and 512 over the suite.
+// BenchmarkTable3PartitionTimes regenerates Table 3: partitioning times
+// of the IDENTITY case at |Vp| = 256 and 512. Each PE count has one
+// topology, so every scenario computes its own partitions.
 func BenchmarkTable3PartitionTimes(b *testing.B) {
-	suite, err := experiments.NewSuite(0.02, 20000, 200000, benchCfg())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var rows []experiments.PartitionTiming
-	for i := 0; i < b.N; i++ {
-		rows, err = suite.PartitionTimes(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runBenchSpec(b, benchSpec([]string{"grid:16x16", "grid:8x8x8"}, "identity"))
 	var sum256, sum512 float64
-	for _, r := range rows {
-		sum256 += r.Seconds[0]
-		sum512 += r.Seconds[1]
+	for _, sc := range res.Scenarios {
+		if sc.PEs == 256 {
+			sum256 += sc.Perf.BaseSeconds.Mean
+		} else {
+			sum512 += sc.Perf.BaseSeconds.Mean
+		}
 	}
 	b.ReportMetric(sum256, "s_k256_total")
 	b.ReportMetric(sum512, "s_k512_total")

@@ -4,7 +4,7 @@
 // Run a matrix and record results:
 //
 //	mapbench -smoke -out BENCH_results.json       # CI-sized, < 60s
-//	mapbench -full -reps 5 -out BENCH_full.json   # paper-style tables
+//	mapbench -full -out BENCH_full.json           # paper-sized matrix
 //	mapbench -matrix my-matrix.json -seed 3       # custom matrix file
 //	mapbench -smoke -shared-partition             # one partition per rep,
 //	                                              # shared across cases
@@ -57,6 +57,12 @@
 //	mapbench -smoke -fleet                    # 3 replicas
 //	mapbench -smoke -fleet -fleet-replicas 5
 //
+// Render the paper's Tables 1-3 and Figures 5a-5d (Section 7) for a
+// fresh run or a results file:
+//
+//	mapbench -full -out BENCH_paper.json -report   # paper-sized (hours)
+//	mapbench -diff BENCH_paper.json -report
+//
 // Gate against a baseline (nonzero exit on regression):
 //
 //	mapbench -smoke -out BENCH_results.json -baseline BENCH_baseline.json
@@ -94,6 +100,7 @@ func main() {
 		diffFile   = flag.String("diff", "", "compare this results file against -baseline instead of running")
 		tol        = flag.Float64("tol", 0.05, "relative tolerance of the baseline gate")
 		quiet      = flag.Bool("q", false, "suppress per-scenario progress")
+		report     = flag.Bool("report", false, "print the paper's Tables 1-3 and Figures 5a-5d for the results")
 		graphLCC   = flag.Bool("graph-lcc", false, "restrict -graph datasets to their largest connected component")
 		wide       = flag.Bool("wide", false, "also run the wide-mode probe (one big job, sequential vs wide; records perf.wide_speedup)")
 		wideNH     = flag.Int("wide-nh", 0, "NumHierarchies of the wide probe job (default 128)")
@@ -200,6 +207,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 	}
 	printSummary(results)
+	if *report {
+		fmt.Println()
+		if err := bench.WriteReport(os.Stdout, results); err != nil {
+			fatal(err)
+		}
+	}
 
 	if results.Summary.Failed > 0 {
 		fatal(fmt.Errorf("%d scenarios failed", results.Summary.Failed))

@@ -13,14 +13,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"text/tabwriter"
 
-	"repro/internal/experiments"
 	"repro/internal/netgen"
 )
 
 func main() {
 	var (
-		list  = flag.Bool("list", false, "print the Table 1 catalog and exit")
+		list  = flag.Bool("list", false, "print the Table 1 catalog with the size targets at -scale and exit")
 		name  = flag.String("name", "", "generate a single network by name")
 		all   = flag.Bool("all", false, "generate the whole suite")
 		scale = flag.Float64("scale", 0.1, "scale in (0,1]; 1 = paper sizes")
@@ -32,8 +32,7 @@ func main() {
 
 	switch {
 	case *list:
-		suite := netgen.GenerateSuite(netgen.SuiteOption{Scale: *scale, Seed: *seed})
-		if err := experiments.WriteTable1(os.Stdout, suite); err != nil {
+		if err := writeCatalog(*scale); err != nil {
 			fatal(err)
 		}
 	case *name != "":
@@ -63,6 +62,20 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// writeCatalog prints the Table 1 catalog with the vertex and edge
+// targets Generate would use at the given scale, without generating
+// anything.
+func writeCatalog(scale float64) error {
+	fmt.Printf("Table 1: Complex networks used for benchmarking (targets at scale %g).\n", scale)
+	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "Name\tpaper #vertices\tpaper #edges\ttarget #v\ttarget #e\tmodel\tType")
+	for _, s := range netgen.Catalog() {
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%s\t%s\n",
+			s.Name, s.FullV, s.FullE, s.ScaledV(scale), s.ScaledE(scale), s.Model, s.Type)
+	}
+	return tw.Flush()
 }
 
 func fatal(err error) {

@@ -3,10 +3,27 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/experiments"
+	"repro/internal/engine"
 	"repro/internal/netgen"
 	"repro/internal/topology"
 )
+
+// runPaperCase runs one repetition of case c on ga through the engine,
+// with the topology named by the paper's alias.
+func runPaperCase(t *testing.T, eng *engine.Engine, ga *Graph, topo string, c engine.Case, nh int, seed int64) *engine.JobResult {
+	t.Helper()
+	res, err := eng.Run(engine.JobSpec{
+		Graph:          engine.GraphSpec{G: ga},
+		Topology:       topo,
+		Case:           c,
+		Seed:           seed,
+		NumHierarchies: nh,
+	})
+	if err != nil {
+		t.Fatalf("%s on %s: %v", c, topo, err)
+	}
+	return res
+}
 
 // TestIntegrationAllCasesAllTopologies runs the complete pipeline —
 // generate, partition/map with every baseline, enhance with TIMER,
@@ -17,22 +34,19 @@ func TestIntegrationAllCasesAllTopologies(t *testing.T) {
 		t.Skip("full pipeline across 20 case/topology pairs")
 	}
 	ga := netgen.Generate(netgen.RMAT, 1600, 6500, 99)
-	cfg := experiments.Config{Reps: 1, NH: 3, Epsilon: 0.03, Seed: 9}
+	eng := engine.New(engine.Options{Workers: 1})
+	defer eng.Close()
 	for _, pt := range topology.PaperTopologies() {
-		topo := pt.MustBuild()
-		if ga.N() <= topo.P() {
-			t.Fatalf("test instance too small for %s", topo.Name)
-		}
-		for _, c := range experiments.Cases() {
-			m, err := experiments.RunRep(ga, topo, c, cfg, 9)
-			if err != nil {
-				t.Fatalf("%s on %s: %v", c, topo.Name, err)
-			}
+		for _, c := range engine.Cases() {
+			m := runPaperCase(t, eng, ga, pt.String(), c, 3, 9)
 			if m.CocoAfter > m.CocoBefore {
-				t.Errorf("%s on %s: Coco worsened %d -> %d", c, topo.Name, m.CocoBefore, m.CocoAfter)
+				t.Errorf("%s on %s: Coco worsened %d -> %d", c, pt, m.CocoBefore, m.CocoAfter)
 			}
 			if m.CutBefore <= 0 || m.CutAfter <= 0 {
-				t.Errorf("%s on %s: degenerate cuts %d -> %d", c, topo.Name, m.CutBefore, m.CutAfter)
+				t.Errorf("%s on %s: degenerate cuts %d -> %d", c, pt, m.CutBefore, m.CutAfter)
+			}
+			if m.BaseSeconds <= 0 || m.TimerSeconds <= 0 {
+				t.Errorf("%s on %s: missing timings base %g, timer %g", c, pt, m.BaseSeconds, m.TimerSeconds)
 			}
 		}
 	}
@@ -46,28 +60,22 @@ func TestIntegrationImprovementShape(t *testing.T) {
 		t.Skip("multi-case comparison")
 	}
 	ga := netgen.Generate(netgen.RMAT, 2500, 11000, 5)
-	topo, err := Grid(16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := experiments.Config{Reps: 1, NH: 8, Epsilon: 0.03, Seed: 4}
-	gain := map[experiments.Case]float64{}
-	for _, c := range experiments.Cases() {
-		m, err := experiments.RunRep(ga, topo, c, cfg, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+	eng := engine.New(engine.Options{Workers: 1})
+	defer eng.Close()
+	gain := map[engine.Case]float64{}
+	for _, c := range engine.Cases() {
+		m := runPaperCase(t, eng, ga, topology.Grid2D16x16.String(), c, 8, 4)
 		gain[c] = 1 - float64(m.CocoAfter)/float64(m.CocoBefore)
 	}
 	// c1 (DRB) must see a strictly larger improvement than the greedy
 	// baselines c3/c4 (paper Section 7.2: "TIMER is able to decrease the
 	// communication costs significantly for c1, even more than in the
 	// other cases").
-	if gain[experiments.C1SCOTCH] <= gain[experiments.C3GreedyAllC] ||
-		gain[experiments.C1SCOTCH] <= gain[experiments.C4GreedyMin] {
+	if gain[engine.C1SCOTCH] <= gain[engine.C3GreedyAllC] ||
+		gain[engine.C1SCOTCH] <= gain[engine.C4GreedyMin] {
 		t.Errorf("improvement ordering violated: c1=%.3f c2=%.3f c3=%.3f c4=%.3f",
-			gain[experiments.C1SCOTCH], gain[experiments.C2Identity],
-			gain[experiments.C3GreedyAllC], gain[experiments.C4GreedyMin])
+			gain[engine.C1SCOTCH], gain[engine.C2Identity],
+			gain[engine.C3GreedyAllC], gain[engine.C4GreedyMin])
 	}
 	for c, g := range gain {
 		if g < 0 {

@@ -41,6 +41,9 @@ type Quality struct {
 type Perf struct {
 	// BaseSeconds is the initial-mapping time (partitioning or DRB);
 	// TimerSeconds the enhancement time — the paper's Table 2 axes.
+	// BaseSeconds and BaseNsPerJob summarize only the repetitions that
+	// ran their base stage (DRB, or PartitionsComputed), so they are
+	// empty when every partition came from the artifact cache.
 	BaseSeconds metrics.Triple `json:"base_seconds"`
 	// BaseNsPerJob is the base-stage wall time per job in nanoseconds —
 	// the ns/op of the partition/DRB hot path, directly comparable with

@@ -43,12 +43,7 @@ func Rows(spec Spec) ([]Row, int, error) {
 				Scenario: sc,
 				Rep:      rep,
 				Seed:     engine.BatchSeed(spec.Seed, rep, sc.Case),
-				GraphKey: fmt.Sprintf("%s@%g#%d", sc.Network, sc.Scale, spec.Seed),
-			}
-			if sc.File != "" {
-				// Dataset cells are content-addressed, not seed-derived:
-				// the instance is the file itself.
-				r.GraphKey = "file:" + sc.File
+				GraphKey: sc.graphKey(spec.Seed),
 			}
 			if spec.SharedPartition {
 				r.PartitionSeed = engine.SharedPartitionSeed(spec.Seed, rep)
@@ -59,4 +54,15 @@ func Rows(spec Spec) ([]Row, int, error) {
 		}
 	}
 	return rows, skipped, nil
+}
+
+// graphKey identifies the graph instance behind a scenario of a matrix
+// with the given seed: "network@scale#seed" for generated networks.
+// Dataset cells are content-addressed, not seed-derived: the instance
+// is the file itself.
+func (sc Scenario) graphKey(seed int64) string {
+	if sc.File != "" {
+		return "file:" + sc.File
+	}
+	return fmt.Sprintf("%s@%g#%d", sc.Network, sc.Scale, seed)
 }

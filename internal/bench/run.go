@@ -35,7 +35,7 @@ type RunOptions struct {
 
 // Run expands the matrix and executes every cell on the concurrent
 // mapping engine: each repetition is one engine job with a derived seed
-// (engine.BatchSeed, matching the evaluation harness), each network is
+// (engine.BatchSeed, matching engine batches), each network is
 // generated exactly once and shared read-only across its jobs, and all
 // jobs flow through one worker pool so the matrix saturates the
 // machine. Individual job failures mark their scenario failed without
@@ -335,14 +335,18 @@ func fillScenario(sr *ScenarioResult, reps []*engine.JobResult, nh int) {
 	stageS := make(map[string][]float64)
 	computed, reused := 0, 0
 	for _, r := range reps {
-		if r.PartitionReused {
-			reused++
-		} else {
-			for _, st := range r.Stages {
-				if st.Name == "partition" {
-					computed++
-					break
-				}
+		// Only a rep that ran its base stage timed it: a partition served
+		// from the artifact cache (or coalesced onto another job's
+		// in-flight build) measured a lookup, not a partitioning.
+		for _, st := range r.Stages {
+			switch {
+			case st.Name == "partition" && r.PartitionReused:
+				reused++
+			case st.Name == "partition":
+				computed++
+				baseS = append(baseS, r.BaseSeconds)
+			case st.Name == "drb":
+				baseS = append(baseS, r.BaseSeconds)
 			}
 		}
 		cocoB = append(cocoB, r.CocoBefore)
@@ -355,7 +359,6 @@ func fillScenario(sr *ScenarioResult, reps []*engine.JobResult, nh int) {
 		imbA = append(imbA, r.ImbalanceAfter)
 		kept = append(kept, float64(r.HierarchiesKept))
 		swaps = append(swaps, float64(r.SwapsApplied))
-		baseS = append(baseS, r.BaseSeconds)
 		timerS = append(timerS, r.TimerSeconds)
 		var sum float64
 		for _, st := range r.Stages {

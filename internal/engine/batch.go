@@ -47,9 +47,8 @@ type BatchSpec struct {
 }
 
 // BatchSeed derives the seed of repetition rep of a batch with base
-// seed. The spreading constants (and the 0-based case offset) match the
-// evaluation harness, so a batch reproduces the experiments' per-rep
-// seeds.
+// seed. The bench harness derives its per-rep seeds the same way, so a
+// batch reproduces a bench matrix's jobs.
 func BatchSeed(base int64, rep int, c Case) int64 {
 	return base + int64(rep)*7919 + int64(c.orDefault()-C1SCOTCH)*104729
 }

@@ -22,14 +22,11 @@ var ErrDraining = errors.New("engine: draining for shutdown")
 // the materialized G beside the Network/Ref/Edges that produced it) is
 // dropped in favor of the provenance, which replay re-materializes
 // deterministically; defaults are resolved so that two specs differing
-// only in spelled-out defaults hash identically. A spec whose graph or
-// topology exists only as an in-memory object (library callers) has no
+// only in spelled-out defaults hash identically. A spec whose graph
+// exists only as an in-memory object (library callers) has no
 // serializable identity: the job still runs, it just is not logged.
 func durableSpec(spec JobSpec) (JobSpec, bool) {
 	spec = spec.withDefaults()
-	if spec.Topo != nil {
-		return JobSpec{}, false
-	}
 	if spec.Graph.G != nil {
 		if spec.Graph.Network == "" && spec.Graph.Ref == "" && len(spec.Graph.Edges) == 0 {
 			return JobSpec{}, false
@@ -56,8 +53,8 @@ func canonicalSpec(spec JobSpec) ([]byte, string, error) {
 // identical resubmissions from the ledger. It is the fingerprint of the
 // spec's canonical JSON after default resolution and provenance
 // reduction (a pinned graph with provenance hashes by its provenance).
-// ok is false when the spec has no serializable identity (an in-memory
-// Topo or a provenance-free pinned graph): such jobs run but cannot be
+// ok is false when the spec has no serializable identity (a
+// provenance-free pinned graph): such jobs run but cannot be
 // deduplicated, logged, or safely retried against another replica.
 // Fleet components route and retry on this hash: equal hash means a
 // resubmission is byte-identical idempotent, so failover is safe.
@@ -214,7 +211,6 @@ func (e *Engine) dedupServe(hash string, spec JobSpec) (*jobRecord, bool) {
 	}, done: closedChan()}
 	rec.job.Spec.Graph.Edges = nil
 	rec.job.Spec.Graph.G = nil
-	rec.job.Spec.Topo = nil
 	e.jobs[rec.job.ID] = rec
 	e.order = append(e.order, rec.job.ID)
 	e.dedupServed.Add(1)
@@ -285,7 +281,6 @@ func (e *Engine) interrupt(rec *jobRecord) {
 	durable := rec.durable
 	rec.job.Spec.Graph.Edges = nil
 	rec.job.Spec.Graph.G = nil
-	rec.job.Spec.Topo = nil
 	rec.mu.Unlock()
 	if durable && e.ledger != nil {
 		_ = e.ledger.Interrupted(id)

@@ -554,11 +554,10 @@ func (e *Engine) execute(rec *jobRecord, ws *workerScratch) {
 	}
 	// Drop the heavyweight inputs from the retained record: a finished
 	// job is kept for status reporting, and holding inline edge lists or
-	// pinned graphs/topologies for up to RetainJobs records would grow
-	// the server's heap without bound.
+	// pinned graphs for up to RetainJobs records would grow the server's
+	// heap without bound.
 	rec.job.Spec.Graph.Edges = nil
 	rec.job.Spec.Graph.G = nil
-	rec.job.Spec.Topo = nil
 	// Count the job served before its done channel closes: a client that
 	// observed the job finished must never read a stats snapshot that
 	// has not counted it yet.

@@ -313,6 +313,52 @@ func TestParseCase(t *testing.T) {
 	}
 }
 
+func TestCaseStrings(t *testing.T) {
+	want := map[Case]string{
+		C1SCOTCH: "SCOTCH", C2Identity: "IDENTITY",
+		C3GreedyAllC: "GREEDYALLC", C4GreedyMin: "GREEDYMIN",
+	}
+	for c, s := range want {
+		if c.String() != s {
+			t.Errorf("%d: %q != %q", int(c), c.String(), s)
+		}
+	}
+	// Cases lists c1..c4 under the paper's names, in paper order.
+	if got := fmt.Sprint(Cases()); got != "[SCOTCH IDENTITY GREEDYALLC GREEDYMIN]" {
+		t.Errorf("Cases() = %s, want [SCOTCH IDENTITY GREEDYALLC GREEDYMIN]", got)
+	}
+}
+
+// TestRunAllCasesInlineGraph runs one repetition of every case on an
+// in-memory graph and checks the Coco values and stage times it reports.
+func TestRunAllCasesInlineGraph(t *testing.T) {
+	ga := netgen.Generate(netgen.RMAT, 600, 2400, 3)
+	e := New(Options{Workers: 2})
+	defer e.Close()
+	for _, c := range Cases() {
+		m, err := e.Run(JobSpec{
+			Graph:          GraphSpec{G: ga},
+			Topology:       "grid:4x4",
+			Case:           c,
+			Epsilon:        0.03,
+			Seed:           5,
+			NumHierarchies: 4,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c, err)
+		}
+		if m.CocoBefore <= 0 || m.CocoAfter <= 0 {
+			t.Errorf("%s: non-positive Coco %d -> %d", c, m.CocoBefore, m.CocoAfter)
+		}
+		if m.CocoAfter > m.CocoBefore {
+			t.Errorf("%s: TIMER worsened Coco: %d -> %d", c, m.CocoBefore, m.CocoAfter)
+		}
+		if m.BaseSeconds <= 0 || m.TimerSeconds <= 0 {
+			t.Errorf("%s: missing timings base %g, timer %g", c, m.BaseSeconds, m.TimerSeconds)
+		}
+	}
+}
+
 func TestMalformedInlineGraphFailsJobNotWorker(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
@@ -383,7 +429,7 @@ func TestOmittedCaseDefaultsToIdentity(t *testing.T) {
 		t.Errorf("unspecified case prints %q", spec.Case.String())
 	}
 	// Seed derivation stays 0-based at C1SCOTCH, preserving the
-	// evaluation harness's historical per-rep seeds.
+	// historical per-rep seeds of committed baselines.
 	if s := BatchSeed(1, 0, C1SCOTCH); s != 1 {
 		t.Errorf("BatchSeed(1,0,c1) = %d, want 1", s)
 	}

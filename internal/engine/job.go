@@ -235,9 +235,6 @@ type JobSpec struct {
 	// Topology is a canonical topology spec ("grid:16x16", ...) resolved
 	// through the engine's cache.
 	Topology string `json:"topology"`
-	// Topo is a pre-built topology (library use only); it bypasses the
-	// cache.
-	Topo *topology.Topology `json:"-"`
 
 	// Case picks the initial-mapping baseline (default IDENTITY).
 	Case Case `json:"case"`
@@ -467,10 +464,6 @@ func runPipeline(spec JobSpec, resolve func(string) (*topology.Topology, error),
 
 	var topo *topology.Topology
 	if err := timed("topology", func() error {
-		if spec.Topo != nil {
-			topo = spec.Topo
-			return nil
-		}
 		var err error
 		topo, err = resolve(spec.Topology)
 		return err

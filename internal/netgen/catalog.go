@@ -53,20 +53,12 @@ func ByName(name string) (NetworkSpec, error) {
 }
 
 // Generate builds the stand-in instance at the given scale ∈ (0, 1]:
-// vertex and edge targets are FullV·scale and FullE·scale. Scale 1
-// reproduces Table 1's sizes; the experiment harness defaults to a
-// smaller scale so the whole suite runs in CI time (the quotients the
-// paper reports are size-relative, see DESIGN.md).
+// vertex and edge targets are ScaledV and ScaledE, about FullV·scale and
+// FullE·scale. Scale 1 reproduces Table 1's sizes; smaller scales let
+// the whole suite run in CI time (the quotients the paper reports are
+// size-relative, see DESIGN.md).
 func (s NetworkSpec) Generate(scale float64, seed int64) *graph.Graph {
-	n := s.ScaledV(scale)
-	if scale <= 0 || scale > 1 {
-		scale = 1
-	}
-	m := int(float64(s.FullE) * scale)
-	if m < n {
-		m = n
-	}
-	return Generate(s.Model, n, m, seed)
+	return Generate(s.Model, s.ScaledV(scale), s.ScaledE(scale), seed)
 }
 
 // ScaledV returns the vertex-count target Generate uses at the given
@@ -87,18 +79,24 @@ func (s NetworkSpec) ScaledV(scale float64) int {
 	return n
 }
 
-// SuiteOption restricts the generated suite.
+// ScaledE returns the edge-count target Generate uses at the given
+// scale: FullE·scale, but never fewer edges than ScaledV vertices.
+func (s NetworkSpec) ScaledE(scale float64) int {
+	n := s.ScaledV(scale)
+	if scale <= 0 || scale > 1 {
+		scale = 1
+	}
+	m := int(float64(s.FullE) * scale)
+	if m < n {
+		m = n
+	}
+	return m
+}
+
+// SuiteOption configures the generated suite.
 type SuiteOption struct {
 	// Scale shrinks every instance (default 1.0 = paper size).
 	Scale float64
-	// MaxVertices skips instances whose scaled size exceeds the bound
-	// (0 = keep all).
-	MaxVertices int
-	// MaxEdges skips instances whose scaled edge count exceeds the bound
-	// (0 = keep all). The coPapers* instances are an order of magnitude
-	// denser than the rest of the suite; CI-scale runs drop them with
-	// this knob.
-	MaxEdges int
 	// Seed is the base seed; instance i uses Seed+i.
 	Seed int64
 }
@@ -116,13 +114,6 @@ func GenerateSuite(opt SuiteOption) []Instance {
 	}
 	var out []Instance
 	for i, spec := range Catalog() {
-		n := int(float64(spec.FullV) * opt.Scale)
-		if opt.MaxVertices > 0 && n > opt.MaxVertices {
-			continue
-		}
-		if opt.MaxEdges > 0 && int(float64(spec.FullE)*opt.Scale) > opt.MaxEdges {
-			continue
-		}
 		out = append(out, Instance{Spec: spec, G: spec.Generate(opt.Scale, opt.Seed+int64(i))})
 	}
 	return out

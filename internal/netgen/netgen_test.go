@@ -112,13 +112,14 @@ func TestGenerateScaledShape(t *testing.T) {
 }
 
 func TestGenerateSuite(t *testing.T) {
-	suite := GenerateSuite(SuiteOption{Scale: 0.01, MaxVertices: 4000, Seed: 5})
-	if len(suite) == 0 {
-		t.Fatal("empty suite")
+	suite := GenerateSuite(SuiteOption{Scale: 0.005, Seed: 5})
+	cat := Catalog()
+	if len(suite) != len(cat) {
+		t.Fatalf("suite has %d networks, want %d", len(suite), len(cat))
 	}
-	for _, inst := range suite {
-		if inst.G.N() > 4500 {
-			t.Errorf("%s: %d vertices exceed MaxVertices filter headroom", inst.Spec.Name, inst.G.N())
+	for i, inst := range suite {
+		if inst.Spec != cat[i] {
+			t.Errorf("instance %d is %s, want %s (catalog order)", i, inst.Spec.Name, cat[i].Name)
 		}
 		if !inst.G.IsConnected() {
 			t.Errorf("%s: disconnected", inst.Spec.Name)

@@ -33,8 +33,8 @@
 //	fmt.Println(done.Result.CocoBefore, "->", done.Result.CocoAfter)
 //
 // See DESIGN.md for the system inventory and README.md for quickstarts
-// covering the library, cmd/experiments (every table and figure of the
-// paper) and the mapd service.
+// covering the library, cmd/mapbench (every table and figure of the
+// paper, rendered with -report) and the mapd service.
 package repro
 
 import (
