@@ -111,10 +111,14 @@ type jobRecord struct {
 	hash    string
 }
 
+// snapshot copies the job for a caller. It never includes the inline
+// edge list, often tens of KB of JSON that the client already has; the
+// record itself keeps the edges until the worker has run the job.
 func (r *jobRecord) snapshot() Job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	j := r.job
+	j.Spec.Graph.Edges = nil
 	j.Stages = append([]Stage(nil), r.job.Stages...)
 	return j
 }
@@ -291,24 +295,28 @@ func (e *Engine) Submit(spec JobSpec) (Job, error) {
 	if e.draining.Load() {
 		return Job{}, ErrDraining
 	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return Job{}, ErrClosed
-	}
+	// Canonicalize and hash before taking e.mu: it marshals the whole
+	// spec, inline edges included, and every Get, Wait, Jobs and Stats
+	// call waits on e.mu. e.ledger is only assigned during New.
 	var hash string
 	var specJSON []byte
 	durable := false
 	if e.ledger != nil {
 		if ds, ok := durableSpec(spec); ok {
 			var err error
-			if specJSON, hash, err = canonicalSpec(ds); err == nil {
-				durable = true
-				if rec, ok := e.dedupServe(hash, spec); ok {
-					e.mu.Unlock()
-					return rec.snapshot(), nil
-				}
-			}
+			specJSON, hash, err = canonicalSpec(ds)
+			durable = err == nil
+		}
+	}
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return Job{}, ErrClosed
+	}
+	if durable {
+		if rec, ok := e.dedupServe(hash, spec); ok {
+			e.mu.Unlock()
+			return rec.snapshot(), nil
 		}
 	}
 	// Only Submit (serialized by e.mu) ever adds to pending, so a

@@ -573,3 +573,53 @@ func TestBatchLazyValidatesNetworkName(t *testing.T) {
 		t.Errorf("%d jobs were enqueued before the validation failure", len(ids))
 	}
 }
+
+// TestSnapshotsOmitInlineEdges: no job snapshot carries the inline
+// edge list — not Submit's, not Get's while the job waits for the
+// worker, not Wait's, not the listing's — yet the worker runs the job
+// on the whole list.
+func TestSnapshotsOmitInlineEdges(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	// Occupy the only worker so the inline job is still queued when Get
+	// snapshots it.
+	blocker := testJobSpec(1)
+	blocker.Graph.Scale = 0.25
+	blocker.NumHierarchies = 50
+	if _, err := e.Submit(blocker); err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Graph: GraphSpec{N: 60, Edges: ringEdges(60)}, Topology: "grid:2x2", NumHierarchies: 2}
+	submitted, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, _ := e.Get(submitted.ID)
+	if queued.Status != StatusQueued {
+		t.Fatalf("Get behind a busy worker: status %s, want queued", queued.Status)
+	}
+	done, err := e.Wait(submitted.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.Status != StatusDone {
+		t.Fatalf("inline job: %s (%s)", done.Status, done.Error)
+	}
+	snaps := map[string]Job{"Submit": submitted, "Get": queued, "Wait": done}
+	for _, j := range e.Jobs() {
+		if j.ID == submitted.ID {
+			snaps["Jobs"] = j
+		}
+	}
+	if len(snaps) != 4 {
+		t.Fatal("Jobs does not list the inline job")
+	}
+	for name, j := range snaps {
+		if j.Spec.Graph.Edges != nil {
+			t.Errorf("%s snapshot carries %d inline edges", name, len(j.Spec.Graph.Edges))
+		}
+	}
+	if done.Result.GraphM != len(spec.Graph.Edges) {
+		t.Errorf("result GraphM = %d, want the %d submitted edges", done.Result.GraphM, len(spec.Graph.Edges))
+	}
+}

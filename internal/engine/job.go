@@ -123,8 +123,8 @@ type GraphSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 
 	// N and Edges give an inline graph: Edges[i] = [u, v, w].
-	N     int        `json:"n,omitempty"`
-	Edges [][3]int64 `json:"edges,omitempty"`
+	N     int      `json:"n,omitempty"`
+	Edges EdgeList `json:"edges,omitempty"`
 
 	// G is a pre-materialized graph (library use only; not serializable).
 	G *graph.Graph `json:"-"`
@@ -400,10 +400,14 @@ const (
 // Job is a snapshot of one submitted job. All fields are copies; the
 // engine's internal record keeps mutating after the snapshot is taken.
 type Job struct {
-	// ID is the engine-assigned job identifier; Spec the submitted (and
-	// default-resolved) job; Status its lifecycle state.
-	ID     string    `json:"id"`
-	Spec   JobSpec   `json:"spec"`
+	// ID is the engine-assigned job identifier.
+	ID string `json:"id"`
+	// Spec is the job spec as submitted, except that a snapshot never
+	// includes Spec.Graph.Edges: the inline edge list goes in with the
+	// submission and does not come back in any job response (the
+	// result's GraphN and GraphM describe the graph that ran).
+	Spec JobSpec `json:"spec"`
+	// Status is the job's lifecycle state.
 	Status JobStatus `json:"status"`
 	// Stage is the pipeline step currently executing (running jobs only).
 	Stage  string     `json:"stage,omitempty"`

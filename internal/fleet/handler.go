@@ -63,10 +63,34 @@ func writeUpstreamError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusServiceUnavailable, err)
 }
 
-func (rt *Router) submitJob(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+// maxBodyBytes caps job and batch request bodies, matching mapd's
+// default limit.
+const maxBodyBytes = 64 << 20
+
+// readBody reads a request body of at most maxBodyBytes into a slice
+// of exactly its length, without io.ReadAll's growth slack: the router
+// keeps job bodies for failover.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if n := r.ContentLength; n >= 0 && n <= maxBodyBytes {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(body, buf)
+		return buf, err
+	}
+	buf, err := io.ReadAll(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		return nil, err
+	}
+	return bytes.Clone(buf), nil
+}
+
+// submitJob decodes the spec as strictly as mapd does, routes it by its
+// spec hash and forwards the client's bytes unchanged: the replica
+// decodes them with the same decoder, so it accepts them too.
+func (rt *Router) submitJob(w http.ResponseWriter, r *http.Request) {
+	body, err := readBody(w, r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("reading job spec: %w", err))
 		return
 	}
 	var spec engine.JobSpec
@@ -77,19 +101,19 @@ func (rt *Router) submitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := routingKey(spec, body)
-	rep, remote, err := rt.place(r.Context(), spec, key, nil)
+	rep, remote, err := rt.place(r.Context(), body, key, nil)
 	if err != nil {
 		writeUpstreamError(w, err)
 		return
 	}
-	rj := rt.register(spec, key, rep, remote)
+	rj := rt.register(body, key, rep, remote)
 	remote.ID = rj.id
 	writeJSON(w, http.StatusAccepted, remote)
 }
 
 func (rt *Router) submitBatch(w http.ResponseWriter, r *http.Request) {
 	var batch engine.BatchSpec
-	dec := json.NewDecoder(io.LimitReader(r.Body, 64<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&batch); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding batch spec: %w", err))
@@ -108,7 +132,7 @@ func (rt *Router) submitBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		key := routingKey(spec, specJSON)
-		rep, remote, err := rt.place(r.Context(), spec, key, nil)
+		rep, remote, err := rt.place(r.Context(), specJSON, key, nil)
 		if err != nil {
 			// Jobs placed before the failure keep running; hand their
 			// IDs back so the client can still track them, mirroring
@@ -121,7 +145,7 @@ func (rt *Router) submitBatch(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, status, map[string]any{"error": err.Error(), "job_ids": ids})
 			return
 		}
-		ids = append(ids, rt.register(spec, key, rep, remote).id)
+		ids = append(ids, rt.register(specJSON, key, rep, remote).id)
 	}
 	writeJSON(w, http.StatusAccepted, map[string]any{"job_ids": ids})
 }

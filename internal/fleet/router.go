@@ -58,12 +58,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// routedJob is the router's record of one job it placed: the spec it
-// can resubmit on failover, the routing key, and the current placement
-// (which replica, under which replica-local ID).
+// routedJob is the router's record of one job it placed: the request
+// bytes it resubmits verbatim on failover, the routing key, and the
+// current placement (which replica, under which replica-local ID).
 type routedJob struct {
 	id   string // router-scoped "fl-NNNNNN" ID
-	spec engine.JobSpec
+	body []byte // spec JSON: the client's request body, or a batch job's encoding
 	key  string // rendezvous routing key (spec hash)
 
 	mu       sync.Mutex
@@ -152,13 +152,14 @@ func routingKey(spec engine.JobSpec, body []byte) string {
 	return graph.FingerprintBytes(body).String()
 }
 
-// place submits the spec to the best usable replica in rendezvous
-// order, skipping avoid (the replica that just failed this job, whose
-// breaker may not have noticed yet). Overloaded or draining replicas
+// place submits the spec JSON, byte for byte, to the best usable
+// replica in rendezvous order, skipping avoid (the replica that just
+// failed this job, whose breaker may not have noticed yet). Overloaded
+// or draining replicas
 // (429/503) are spilled past without a breaker penalty; transport
 // errors and 5xx charge the breaker and move on. Landing anywhere but
 // the first usable choice counts as a failover.
-func (rt *Router) place(ctx context.Context, spec engine.JobSpec, key string, avoid *Replica) (*Replica, engine.Job, error) {
+func (rt *Router) place(ctx context.Context, body []byte, key string, avoid *Replica) (*Replica, engine.Job, error) {
 	ranked := rankReplicas(rt.replicas, key)
 	first := true
 	var lastErr error = errNoReplica
@@ -166,7 +167,7 @@ func (rt *Router) place(ctx context.Context, spec engine.JobSpec, key string, av
 		if rep == avoid || !rep.usable() {
 			continue
 		}
-		job, err := rep.client.SubmitJob(ctx, spec)
+		job, err := rep.client.SubmitJSON(ctx, body)
 		if err == nil {
 			rep.breaker.success()
 			rep.submits.Add(1)
@@ -197,12 +198,12 @@ func (rt *Router) place(ctx context.Context, spec engine.JobSpec, key string, av
 
 // register files a placed job under a fresh router ID, evicting the
 // oldest record past the retention bound.
-func (rt *Router) register(spec engine.JobSpec, key string, rep *Replica, remote engine.Job) *routedJob {
+func (rt *Router) register(body []byte, key string, rep *Replica, remote engine.Job) *routedJob {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.seq++
 	rj := &routedJob{
-		id: fmt.Sprintf("fl-%06d", rt.seq), spec: spec, key: key,
+		id: fmt.Sprintf("fl-%06d", rt.seq), body: body, key: key,
 		rep: rep, remoteID: remote.ID,
 	}
 	rt.jobs[rj.id] = rj
@@ -214,8 +215,8 @@ func (rt *Router) register(spec engine.JobSpec, key string, rep *Replica, remote
 	return rj
 }
 
-// requeue moves the job off dead: resubmits its spec to the next
-// usable replica in rendezvous order. Only the caller who saw the
+// requeue moves the job off dead: resubmits its request bytes to the
+// next usable replica in rendezvous order. Only the caller who saw the
 // current placement fail performs the move; concurrent waiters that
 // lost the race adopt the new placement instead of resubmitting again.
 // Resubmission is safe — the spec-hash dedup and the deterministic
@@ -229,7 +230,7 @@ func (rt *Router) requeue(ctx context.Context, rj *routedJob, dead *Replica, dea
 	if rj.rep != dead || rj.remoteID != deadRemoteID {
 		return nil // another waiter already moved it
 	}
-	rep, job, err := rt.place(ctx, rj.spec, rj.key, dead)
+	rep, job, err := rt.place(ctx, rj.body, rj.key, dead)
 	if err != nil {
 		return err
 	}

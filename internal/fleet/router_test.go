@@ -1,13 +1,16 @@
 package fleet_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +18,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/mapclient"
 	"repro/internal/mapdsrv"
+	"repro/internal/netgen"
 )
 
 // testReplica is an in-process mapd: a real engine behind the real
@@ -243,6 +247,50 @@ func TestRouterBatchesRoute(t *testing.T) {
 }
 
 func TestRouterFailsOverWhenReplicaDies(t *testing.T) {
+	// Heavy enough (full-scale graph, long enhancement tail) that the
+	// job is guaranteed to still be in flight when the kill lands —
+	// without the race detector's slowdown a scale-0.05 job can finish
+	// inside the kill delay and no failover would ever be needed.
+	spec := testSpec(7)
+	spec.Graph.Scale = 0.25
+	spec.NumHierarchies = 120
+	// The same graph as an inline edge list: failover resubmits the
+	// request bytes the router kept, which then carry every edge.
+	inline := spec
+	inline.Graph = inlineGraph(t, spec.Graph)
+	for _, tc := range []struct {
+		name string
+		spec engine.JobSpec
+	}{{"network", spec}, {"inline-edges", inline}} {
+		t.Run(tc.name, func(t *testing.T) { failOverWhenReplicaDies(t, tc.spec) })
+	}
+}
+
+// inlineGraph generates a catalog network spec's graph and returns it
+// as an inline edge list, each undirected edge once.
+func inlineGraph(t *testing.T, gs engine.GraphSpec) engine.GraphSpec {
+	t.Helper()
+	ns, err := netgen.ByName(gs.Network)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ns.Generate(gs.Scale, gs.Seed)
+	var edges engine.EdgeList
+	for u := 0; u < g.N(); u++ {
+		nbrs, ws := g.Neighbors(u)
+		for k, v := range nbrs {
+			if int(v) > u {
+				edges = append(edges, [3]int64{int64(u), int64(v), ws[k]})
+			}
+		}
+	}
+	return engine.GraphSpec{N: g.N(), Edges: edges}
+}
+
+// failOverWhenReplicaDies kills the replica holding a job mid-flight
+// and requires the job, moved by the router, to finish with the result
+// Engine.Run computes.
+func failOverWhenReplicaDies(t *testing.T, spec engine.JobSpec) {
 	replicas := make([]*testReplica, 3)
 	var urls []string
 	for i := range replicas {
@@ -251,14 +299,6 @@ func TestRouterFailsOverWhenReplicaDies(t *testing.T) {
 	}
 	rt, srv := fastRouter(t, urls)
 	waitUsable(t, rt, 3)
-
-	// Heavy enough (full-scale graph, long enhancement tail) that the
-	// job is guaranteed to still be in flight when the kill lands —
-	// without the race detector's slowdown a scale-0.05 job can finish
-	// inside the kill delay and no failover would ever be needed.
-	spec := testSpec(7)
-	spec.Graph.Scale = 0.25
-	spec.NumHierarchies = 120
 
 	// Find the spec's home replica so the kill is guaranteed to hit
 	// the placement.
@@ -318,16 +358,93 @@ func TestRouterFailsOverWhenReplicaDies(t *testing.T) {
 	// Byte-identical to an uninterrupted single-engine reference.
 	ref := engine.New(engine.Options{Workers: 2})
 	defer ref.Close()
-	refJob, err := ref.Submit(spec)
+	want, err := ref.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Wait(refJob.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := got.Result.StripPerf(), want.Result.StripPerf(); !reflect.DeepEqual(a, b) {
+	if a, b := got.Result.StripPerf(), want.StripPerf(); !reflect.DeepEqual(a, b) {
 		t.Errorf("failover result diverged from reference:\n%+v\nvs\n%+v", a, b)
+	}
+}
+
+// TestRouterForwardsRequestBytes: the router hands the replica the
+// client's request body byte for byte (whitespace and key order
+// included), not a re-encoding of the spec it decoded.
+func TestRouterForwardsRequestBytes(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1})
+	h := mapdsrv.New(eng, mapdsrv.Config{})
+	var mu sync.Mutex
+	var received []string
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Errorf("replica reading body: %v", err)
+			}
+			mu.Lock()
+			received = append(received, string(body))
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		replica.Close()
+		eng.Close()
+	})
+	rt, srv := fastRouter(t, []string{replica.URL})
+	waitUsable(t, rt, 1)
+
+	const body = "{ \"topology\":\"grid:2x2\" ,\n\t\"num_hierarchies\": 2,\n  \"graph\": { \"edges\": [ [0, 1,1],[1,2, 1], [2,3,1] ,[3,4,1],[4,5,1],[5, 0, 1] ], \"n\": 6 } }\n"
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job engine.Job
+	err = json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: status %d, %v", resp.StatusCode, err)
+	}
+	mu.Lock()
+	got := append([]string(nil), received...)
+	mu.Unlock()
+	if len(got) != 1 || got[0] != body {
+		t.Errorf("replica received %q, want the client's bytes %q", got, body)
+	}
+	c := mapclient.New(srv.URL, mapclient.Config{AttemptTimeout: 15 * time.Second})
+	if done, err := c.WaitJob(context.Background(), job.ID); err != nil || done.Status != engine.StatusDone {
+		t.Fatalf("forwarded job: %v / %s (%s)", err, done.Status, done.Error)
+	}
+}
+
+// TestOversizedJobBodyRejected: a job body one byte over the 64 MiB
+// default limit gets 400 "request body too large" from mapd and from
+// the router alike; the router used to cut it silently and report the
+// truncated JSON instead.
+func TestOversizedJobBodyRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("posts a 64 MiB body twice")
+	}
+	rep := startReplicaAt(t, "", engine.Options{Workers: 1})
+	_, srv := fastRouter(t, []string{rep.url()})
+	// A valid spec, padded with whitespace to 64 MiB + 1 bytes.
+	body := bytes.Repeat([]byte(" "), 64<<20+1)
+	copy(body, `{"graph": {"n": 9, "edges": [[0,1,1]]}, "topology": "grid:2x2"`)
+	body[len(body)-1] = '}'
+	for _, base := range []string{rep.url(), srv.URL} {
+		resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, "request body too large") {
+			t.Errorf("%s: status %d, error %q (%v); want 400 request body too large", base, resp.StatusCode, out.Error, err)
+		}
 	}
 }
 

@@ -235,8 +235,17 @@ func (c *Client) SubmitJob(ctx context.Context, spec engine.JobSpec) (engine.Job
 	if err != nil {
 		return engine.Job{}, err
 	}
+	return c.SubmitJSON(ctx, body)
+}
+
+// SubmitJSON submits an already encoded job spec, sending the bytes
+// unchanged (the router forwards its clients' request bodies this
+// way), and returns the accepted job snapshot like SubmitJob. The
+// server decodes the spec; one it refuses comes back as a 400
+// *APIError.
+func (c *Client) SubmitJSON(ctx context.Context, spec []byte) (engine.Job, error) {
 	var job engine.Job
-	err = c.do(ctx, http.MethodPost, "/v1/jobs", body, &job)
+	err := c.do(ctx, http.MethodPost, "/v1/jobs", spec, &job)
 	return job, err
 }
 

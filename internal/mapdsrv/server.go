@@ -232,16 +232,14 @@ func (s *server) submitBatch(w http.ResponseWriter, r *http.Request) {
 func (s *server) listJobs(w http.ResponseWriter, r *http.Request) {
 	jobs := s.eng.Jobs()
 	// The list is a summary view: re-serializing every retained
-	// assignment (up to 16MB each) or the inline edge lists of
-	// still-pending specs would bloat the response; fetch a single job
-	// by ID for its full record.
+	// assignment (up to 16MB each) would bloat the response; fetch a
+	// single job by ID for its full record.
 	for i := range jobs {
 		if jobs[i].Result != nil && jobs[i].Result.Assignment != nil {
 			cp := *jobs[i].Result
 			cp.Assignment = nil
 			jobs[i].Result = &cp
 		}
-		jobs[i].Spec.Graph.Edges = nil
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
 }

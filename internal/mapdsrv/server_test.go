@@ -3,6 +3,8 @@ package mapdsrv
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -181,6 +183,49 @@ func TestMapdErrors(t *testing.T) {
 	}
 	if done := waitDone(t, srv, job.ID); done.Status != engine.StatusFailed {
 		t.Errorf("bad-topology job status %s, want failed", done.Status)
+	}
+}
+
+// TestMapdSubmitOmitsInlineEdges: the 202 answer to an inline-graph
+// job does not echo the edge list, so its size does not grow with the
+// graph's.
+func TestMapdSubmitOmitsInlineEdges(t *testing.T) {
+	srv, _ := newTestServer(t)
+	const n = 1200
+	var edges []string
+	for v := 0; v < n; v++ {
+		edges = append(edges, fmt.Sprintf("[%d,%d,1]", v, (v+1)%n), fmt.Sprintf("[%d,%d,2]", v, (v+7)%n))
+	}
+	body := `{"graph": {"edges": [` + strings.Join(edges, ",") + `]}, "topology": "grid:2x2", "num_hierarchies": 2}`
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: status %d: %s", resp.StatusCode, raw)
+	}
+	var job struct {
+		ID   string `json:"id"`
+		Spec struct {
+			Graph map[string]json.RawMessage `json:"graph"`
+		} `json:"spec"`
+	}
+	if err := json.Unmarshal(raw, &job); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := job.Spec.Graph["edges"]; ok {
+		t.Errorf("202 body echoes the %d inline edges", len(edges))
+	}
+	if len(raw) >= 4<<10 {
+		t.Errorf("202 body is %d bytes for a %d-byte request, want under 4 KiB", len(raw), len(body))
+	}
+	if done := waitDone(t, srv, job.ID); done.Status != engine.StatusDone || done.Result.GraphM != len(edges) {
+		t.Errorf("inline job: %s (%s), want done on all %d edges", done.Status, done.Error, len(edges))
 	}
 }
 
