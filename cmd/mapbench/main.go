@@ -22,40 +22,21 @@
 //	mapbench -smoke -graph ca-GrQc.txt -graph web-Google.mtx
 //	mapbench -smoke -graph ca-GrQc.txt -graph-lcc   # largest component only
 //
-// Probe wide mode (one big TIMER-dominant job run sequentially and
-// then wide on an idle pool; byte-identical quality is asserted and
-// the wall-clock ratio lands in perf.wide_speedup — see the
-// "Concurrency & determinism" chapter of DESIGN.md):
+// Probe the serving features. Each probe computes a reference for its
+// job set with Engine.Run on a fresh engine with the artifact cache
+// off, re-runs the set under one perturbation, and fails unless every
+// result equals the reference after JobResult.StripPerf. -wide runs one
+// big job sequentially and then wide on an idle pool (perf.wide_speedup,
+// perf.wide_width); -warm runs a job set cold and again on a restarted
+// engine sharing the cache directory (perf.warm_speedup,
+// perf.disk_hit_rate); -restart drains an engine mid-batch and recovers
+// it from its job ledger (perf.jobs_recovered, perf.dedup_served);
+// -fleet runs a job set through maprouter over 1 and 3 in-process mapd
+// replicas and once more with a replica killed mid-batch
+// (perf.fleet_speedup, perf.failovers). The harness is probe.go; see
+// "The benchmark harness" in DESIGN.md:
 //
-//	mapbench -smoke -wide                 # probe with NumHierarchies 128
-//	mapbench -smoke -wide -wide-nh 512    # longer trial tail
-//
-// Probe the warm-restart path of the persistent artifact tier (the same
-// job set run cold on an empty cache directory and again by a freshly
-// constructed engine on the now populated directory; byte-identical
-// quality is asserted and the wall-clock ratio lands in
-// perf.warm_speedup, the restarted engine's snapshot-serving fraction
-// in perf.disk_hit_rate):
-//
-//	mapbench -smoke -warm                       # temp dir, self-cleaning
-//	mapbench -smoke -warm -warm-dir /tmp/cache  # inspectable snapshots
-//
-// Probe the durable job ledger (an engine drained mid-batch, a second
-// engine recovering the batch from the same -job-dir WAL; byte-identical
-// recovery and zero-recompute idempotency are asserted, the counters
-// land in perf.jobs_recovered and perf.dedup_served):
-//
-//	mapbench -smoke -restart
-//
-// Probe the fleet layer (the same job set run through maprouter over
-// one replica and over N in-process mapd replicas, then once more with
-// the busiest replica killed mid-batch; byte-identical completion is
-// asserted, the wall-clock ratio lands in perf.fleet_speedup and the
-// recovery count in perf.failovers — see the "Fleet" chapter of
-// DESIGN.md):
-//
-//	mapbench -smoke -fleet                    # 3 replicas
-//	mapbench -smoke -fleet -fleet-replicas 5
+//	mapbench -smoke -seed 1 -wide -warm -restart -fleet
 //
 // Render the paper's Tables 1-3 and Figures 5a-5d (Section 7) for a
 // fresh run or a results file:
@@ -76,13 +57,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
 
 	"repro/internal/bench"
-	"repro/internal/engine"
-	"repro/internal/mapdsrv"
 )
 
 func main() {
@@ -102,17 +80,13 @@ func main() {
 		quiet      = flag.Bool("q", false, "suppress per-scenario progress")
 		report     = flag.Bool("report", false, "print the paper's Tables 1-3 and Figures 5a-5d for the results")
 		graphLCC   = flag.Bool("graph-lcc", false, "restrict -graph datasets to their largest connected component")
-		wide       = flag.Bool("wide", false, "also run the wide-mode probe (one big job, sequential vs wide; records perf.wide_speedup)")
-		wideNH     = flag.Int("wide-nh", 0, "NumHierarchies of the wide probe job (default 128)")
-		warm       = flag.Bool("warm", false, "also run the warm-restart probe (same jobs, cold vs restarted engine on a shared cache dir; records perf.warm_speedup and perf.disk_hit_rate)")
-		warmDir    = flag.String("warm-dir", "", "cache directory of the warm probe (default: a fresh temp dir, removed afterwards)")
-		restart    = flag.Bool("restart", false, "also run the crash-restart probe (engine drained mid-batch, recovered from its job ledger byte-identical; records perf.jobs_recovered and perf.dedup_served)")
-		restartDir = flag.String("restart-dir", "", "job-ledger directory of the restart probe (default: a fresh temp dir, removed afterwards)")
-		fleetProbe = flag.Bool("fleet", false, "also run the fleet probe (job set through maprouter over 1 vs N replicas, then with a replica killed mid-batch; records perf.fleet_speedup and perf.failovers)")
-		fleetReps  = flag.Int("fleet-replicas", 0, "replica count of the fleet probe (default 3)")
 	)
 	var graphs stringList
 	flag.Var(&graphs, "graph", "add a real dataset file (SNAP/Matrix Market/METIS) as matrix cells; repeatable")
+	enabled := make(map[string]*bool, len(probes))
+	for _, p := range probes {
+		enabled[p.name] = flag.Bool(p.name, false, p.usage)
+	}
 	flag.Parse()
 
 	if *list {
@@ -133,71 +107,12 @@ func main() {
 		fatal(err)
 	}
 
-	if *wide && *diffFile == "" {
-		probe, perr := bench.RunWideProbe(bench.WideProbe{
-			Workers:        *workers,
-			Seed:           *seed,
-			NumHierarchies: *wideNH,
-		}, progress(*quiet))
-		if perr != nil {
-			fatal(perr)
+	for _, p := range probes {
+		if *enabled[p.name] && *diffFile == "" {
+			if err := runProbe(p, *seed, *workers, results.Perf, progress(*quiet)); err != nil {
+				fatal(err)
+			}
 		}
-		if results.Perf == nil {
-			results.Perf = &bench.RunPerf{}
-		}
-		results.Perf.WideSpeedup = probe.Speedup
-		results.Perf.WideWidth = probe.Width
-	}
-
-	if *warm && *diffFile == "" {
-		probe, perr := bench.RunWarmProbe(bench.WarmProbe{
-			Workers: *workers,
-			Seed:    *seed,
-			Dir:     *warmDir,
-		}, progress(*quiet))
-		if perr != nil {
-			fatal(perr)
-		}
-		if results.Perf == nil {
-			results.Perf = &bench.RunPerf{}
-		}
-		results.Perf.WarmSpeedup = probe.Speedup
-		results.Perf.DiskHitRate = probe.DiskHitRate
-	}
-
-	if *restart && *diffFile == "" {
-		probe, perr := bench.RunRestartProbe(bench.RestartProbe{
-			Workers: *workers,
-			Seed:    *seed,
-			Dir:     *restartDir,
-		}, progress(*quiet))
-		if perr != nil {
-			fatal(perr)
-		}
-		if results.Perf == nil {
-			results.Perf = &bench.RunPerf{}
-		}
-		results.Perf.JobsRecovered = probe.Recovered
-		results.Perf.DedupServed = probe.DedupServed
-	}
-
-	if *fleetProbe && *diffFile == "" {
-		// bench cannot import mapdsrv (mapdsrv serves bench's matrices),
-		// so the production handler stack is injected from here.
-		probe, perr := bench.RunFleetProbe(bench.FleetProbe{
-			Replicas: *fleetReps,
-			Seed:     *seed,
-		}, func(eng *engine.Engine) http.Handler {
-			return mapdsrv.New(eng, mapdsrv.Config{})
-		}, progress(*quiet))
-		if perr != nil {
-			fatal(perr)
-		}
-		if results.Perf == nil {
-			results.Perf = &bench.RunPerf{}
-		}
-		results.Perf.Failovers = probe.Failovers
-		results.Perf.FleetSpeedup = probe.FleetSpeedup
 	}
 
 	if *out != "" {

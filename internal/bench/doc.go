@@ -25,9 +25,11 @@
 // byte-identical across runs once performance fields are stripped
 // (StripPerf) — which is what makes the committed-baseline CI gate
 // possible. That guarantee holds at any worker count and in wide mode;
-// the "Concurrency & determinism" chapter of DESIGN.md explains why,
-// and RunWideProbe (mapbench -wide) measures the wide-mode speedup
-// while asserting the equivalence on every run. cmd/mapbench is the
-// CLI front-end; the repro facade re-exports the canonical matrices
-// (Smoke, Paper) for library use and mapd serves them for clients.
+// the "Concurrency & determinism" chapter of DESIGN.md explains why.
+// cmd/mapbench is the CLI front-end, and its probe harness re-checks the
+// guarantee under wide mode, the disk cache, the job ledger and the
+// fleet router (mapbench -wide, -warm, -restart, -fleet), recording
+// what each buys in RunPerf's probe fields. The repro facade re-exports
+// the canonical matrices (Smoke, Paper) for library use and mapd serves
+// them for clients.
 package bench

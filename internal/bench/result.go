@@ -132,34 +132,31 @@ type RunPerf struct {
 	ArtifactHitRate    float64 `json:"artifact_hit_rate"`
 	PartitionsComputed int     `json:"partitions_computed"`
 	PartitionsReused   int     `json:"partitions_reused"`
-	// WideSpeedup and WideWidth record the wide-mode probe when the run
-	// included one (mapbench -wide): the sequential/wide wall-clock
-	// ratio of one big job on an idle pool and the width that job
-	// reached. Zero when no probe ran. Like every other perf field,
-	// stripped before determinism comparisons.
+	// The probe fields are written by cmd/mapbench's probe harness when
+	// the run included that probe, and are zero otherwise. Every probe
+	// first proves its results equal a reference after StripPerf, so
+	// these are statements about runs that kept quality byte-identical.
+	//
+	// WideSpeedup and WideWidth (mapbench -wide): the sequential/wide
+	// wall-clock ratio of one big job on an idle pool and the width that
+	// job reached.
 	WideSpeedup float64 `json:"wide_speedup,omitempty"`
 	WideWidth   int     `json:"wide_width,omitempty"`
-	// WarmSpeedup and DiskHitRate record the warm-restart probe when the
-	// run included one (mapbench -warm): the cold/warm wall-clock ratio
-	// of the same job set re-run by a restarted engine on a shared cache
-	// directory, and the fraction of the warm run's disk lookups served
-	// from verified snapshot files. Zero when no probe ran. Like every
-	// other perf field, stripped before determinism comparisons.
+	// WarmSpeedup and DiskHitRate (mapbench -warm): the cold/warm
+	// wall-clock ratio of one job set re-run by a restarted engine on a
+	// shared cache directory, and the fraction of the warm run's disk
+	// lookups served from verified snapshot files.
 	WarmSpeedup float64 `json:"warm_speedup,omitempty"`
 	DiskHitRate float64 `json:"disk_hit_rate,omitempty"`
-	// JobsRecovered and DedupServed record the crash-restart probe when
-	// the run included one (mapbench -restart): how many interrupted
-	// jobs the restarted engine requeued and finished byte-identical to
-	// the uninterrupted reference, and how many duplicate submissions
-	// were served from the job ledger without recomputing. Zero when no
-	// probe ran.
+	// JobsRecovered and DedupServed (mapbench -restart): how many jobs a
+	// restarted engine requeued from the job ledger after a drain, and
+	// how many duplicate submissions the ledger served without
+	// recomputing.
 	JobsRecovered int   `json:"jobs_recovered,omitempty"`
 	DedupServed   int64 `json:"dedup_served,omitempty"`
-	// Failovers and FleetSpeedup record the fleet probe when the run
-	// included one (mapbench -fleet): how many jobs the router moved
-	// off a killed replica (completed byte-identical regardless), and
-	// the wall-time ratio of the one-replica run to the N-replica run
-	// of the same job set. Zero when no probe ran.
+	// Failovers and FleetSpeedup (mapbench -fleet): how many jobs the
+	// router moved off a killed replica, and the wall-time ratio of the
+	// one-replica run to the three-replica run of the same job set.
 	Failovers    int64   `json:"failovers,omitempty"`
 	FleetSpeedup float64 `json:"fleet_speedup,omitempty"`
 }

@@ -46,21 +46,21 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// writeUpstreamError translates a placement failure for the client:
-// upstream API errors keep their status (and Retry-After becomes ours),
-// transport-level failures and replica exhaustion become 503 +
-// Retry-After — the fleet equivalent of "draining, come back".
-func writeUpstreamError(w http.ResponseWriter, err error) {
+// upstreamStatus translates an upstream failure for the client and
+// returns the status to answer with: upstream API errors keep their
+// status (and Retry-After becomes ours), transport-level failures and
+// replica exhaustion become 503 + Retry-After — the fleet equivalent
+// of "draining, come back".
+func upstreamStatus(w http.ResponseWriter, err error) int {
 	var apiErr *mapclient.APIError
 	if errors.As(err, &apiErr) {
 		if apiErr.RetryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(int(apiErr.RetryAfter/time.Second)))
 		}
-		writeError(w, apiErr.Status, err)
-		return
+		return apiErr.Status
 	}
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, err)
+	return http.StatusServiceUnavailable
 }
 
 // maxBodyBytes caps job and batch request bodies, matching mapd's
@@ -103,7 +103,7 @@ func (rt *Router) submitJob(w http.ResponseWriter, r *http.Request) {
 	key := routingKey(spec, body)
 	rep, remote, err := rt.place(r.Context(), body, key, nil)
 	if err != nil {
-		writeUpstreamError(w, err)
+		writeError(w, upstreamStatus(w, err), err)
 		return
 	}
 	rj := rt.register(body, key, rep, remote)
@@ -137,12 +137,7 @@ func (rt *Router) submitBatch(w http.ResponseWriter, r *http.Request) {
 			// Jobs placed before the failure keep running; hand their
 			// IDs back so the client can still track them, mirroring
 			// mapd's own partial-batch contract.
-			var apiErr *mapclient.APIError
-			status := http.StatusServiceUnavailable
-			if errors.As(err, &apiErr) {
-				status = apiErr.Status
-			}
-			writeJSON(w, status, map[string]any{"error": err.Error(), "job_ids": ids})
+			writeJSON(w, upstreamStatus(w, err), map[string]any{"error": err.Error(), "job_ids": ids})
 			return
 		}
 		ids = append(ids, rt.register(specJSON, key, rep, remote).id)
@@ -162,7 +157,7 @@ func (rt *Router) getJob(w http.ResponseWriter, r *http.Request) {
 	wait := r.URL.Query().Get("wait") == "1" || r.URL.Query().Get("wait") == "true"
 	job, err := rt.fetch(r, rj, wait)
 	if err != nil {
-		writeUpstreamError(w, err)
+		writeError(w, upstreamStatus(w, err), err)
 		return
 	}
 	job.ID = rj.id

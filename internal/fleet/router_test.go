@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -517,6 +518,68 @@ func TestRouterSheds503WithNoUsableReplica(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("/readyz 503 missing Retry-After")
+	}
+}
+
+// TestRouterBatchPartialFailureKeepsRetryAfter: when a batch's second
+// placement is shed with 429 + Retry-After, the router answers the
+// batch as it answers a single job, status and Retry-After included,
+// and still hands back the ID of the job it placed.
+func TestRouterBatchPartialFailureKeepsRetryAfter(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1})
+	h := mapdsrv.New(eng, mapdsrv.Config{})
+	var mu sync.Mutex
+	posts := 0
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			mu.Lock()
+			posts++
+			shed := posts > 1
+			mu.Unlock()
+			if shed {
+				w.Header().Set("Retry-After", "1")
+				w.WriteHeader(http.StatusTooManyRequests)
+				io.WriteString(w, `{"error": "over quota"}`)
+				return
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		replica.Close()
+		eng.Close()
+	})
+	rt, srv := fastRouter(t, []string{replica.URL})
+	waitUsable(t, rt, 1)
+
+	batch, err := json.Marshal(engine.BatchSpec{
+		Graphs:         []engine.GraphSpec{{Network: "p2p-Gnutella", Scale: 0.05, Seed: 11}},
+		Topologies:     []string{"grid:4x4"},
+		Reps:           2,
+		NumHierarchies: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/batches", "application/json", bytes.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		JobIDs []string `json:"job_ids"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("status %d, want 429", resp.StatusCode)
+	}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
+		t.Errorf("Retry-After %q, want >= 1 second", resp.Header.Get("Retry-After"))
+	}
+	if len(out.JobIDs) != 1 {
+		t.Errorf("job_ids %q, want the one placed job", out.JobIDs)
 	}
 }
 

@@ -64,24 +64,8 @@ type (
 	TimerOptions = core.Options
 	// TimerResult reports a TIMER run (Coco before/after, mapping).
 	TimerResult = core.Result
-	// TimerScratch is the reusable hot-path arena of the TIMER enhancer;
-	// callers running many enhancements back to back pass one via
-	// TimerOptions.Scratch to make the warm path allocation-free.
-	TimerScratch = core.Scratch
 	// PartitionResult reports a k-way partition with quality metrics.
 	PartitionResult = partition.Result
-	// PartitionScratch is the reusable arena of the multilevel
-	// partitioner; callers partitioning many graphs back to back pass
-	// one via PartitionConfig.Scratch (see partition.Config) to make
-	// the warm path allocation-free.
-	PartitionScratch = partition.Scratch
-	// PartitionConfig is the full multilevel-partitioner configuration
-	// (K, epsilon, seed, coarsening scheme, V-cycles, scratch).
-	PartitionConfig = partition.Config
-	// MappingScratch is the base-stage mapper arena: communication-graph
-	// contraction, greedy per-PE state and DRB recursion storage, with a
-	// PartitionScratch inside for DRB's bisections.
-	MappingScratch = mapping.Scratch
 	// DRBConfig configures the SCOTCH-style dual-recursive-bisection
 	// mapper.
 	DRBConfig = mapping.DRBConfig
@@ -146,8 +130,6 @@ type (
 	// BenchResults is the machine-readable outcome of a benchmark run
 	// (the BENCH_results.json schema).
 	BenchResults = bench.Results
-	// BenchDiff is the outcome of gating a run against a baseline.
-	BenchDiff = bench.Diff
 )
 
 // The four initial-mapping baselines of the paper's evaluation
@@ -164,31 +146,8 @@ const (
 	CaseGreedyMin = engine.C4GreedyMin
 )
 
-// ParseCase accepts the paper's baseline names (case-insensitive) and
-// the short forms c1..c4; the empty string is CaseIdentity.
-func ParseCase(s string) (Case, error) { return engine.ParseCase(s) }
-
 // NewBuilder creates a graph builder for n vertices.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
-
-// NewTimerScratch creates a reusable TIMER scratch arena (see
-// TimerOptions.Scratch).
-func NewTimerScratch() *TimerScratch { return core.NewScratch() }
-
-// NewPartitionScratch creates a reusable partitioner arena (see
-// PartitionConfig.Scratch).
-func NewPartitionScratch() *PartitionScratch { return partition.NewScratch() }
-
-// NewMappingScratch creates a reusable base-stage mapper arena; its
-// methods (CommGraph, GreedyAllC, GreedyMin, DRB) mirror the package
-// functions with scratch-backed, aliasing results.
-func NewMappingScratch() *MappingScratch { return mapping.NewScratch() }
-
-// PartitionWithConfig computes a partition with full control over the
-// multilevel configuration, including a reusable scratch.
-func PartitionWithConfig(g *Graph, cfg PartitionConfig) (*PartitionResult, error) {
-	return partition.Partition(g, cfg)
-}
 
 // NewEngine creates a concurrent mapping engine and starts its worker
 // pool. Close it when done. Submit/Wait/RunBatch run whole
@@ -208,16 +167,6 @@ func SmokeBenchMatrix() BenchSpec { return bench.Smoke() }
 // from the default smoke baseline).
 func SharedSmokeBenchMatrix() BenchSpec { return bench.SmokeShared() }
 
-// BatchSeed derives the per-rep, per-case job seed of a batch —
-// the seed algebra shared by the engine's batches and the bench
-// harness. SharedPartitionSeed is its case-independent counterpart
-// used by SharedPartition batches for the partition stage.
-func BatchSeed(base int64, rep int, c Case) int64 { return engine.BatchSeed(base, rep, c) }
-
-// SharedPartitionSeed derives the case-independent partition seed of
-// repetition rep in a SharedPartition batch.
-func SharedPartitionSeed(base int64, rep int) int64 { return engine.SharedPartitionSeed(base, rep) }
-
 // PaperBenchMatrix returns the full paper-style matrix: the Table 1
 // suite over the five Section 7 topologies, cases c1–c4, five
 // repetitions — the shape of the paper's tables as one run.
@@ -231,40 +180,11 @@ func RunBench(spec BenchSpec, opt BenchRunOptions) (*BenchResults, error) {
 	return bench.Run(spec, opt)
 }
 
-// CompareBench gates a benchmark run against a baseline: any quality
-// metric worse than baseline·(1+tol), or any baseline scenario missing
-// from the run, makes the diff not OK.
-func CompareBench(baseline, current *BenchResults, tol float64) *BenchDiff {
-	return bench.Compare(baseline, current, tol)
-}
-
-// ParseTopologySpec validates a canonical topology spec string
-// ("grid:16x16", "torus:8x8x8", "hypercube:8" or a paper name) and
-// returns its canonical form — the engine's cache key.
-func ParseTopologySpec(spec string) (string, error) { return topology.Canonicalize(spec) }
-
 // ReadGraph loads a METIS/Chaco format graph file. It rejects malformed
 // inputs (including self-loops, which the format cannot express); for
 // permissive, normalizing loads of real-world datasets — and for SNAP
 // edge lists or Matrix Market files — use LoadGraphFile.
 func ReadGraph(path string) (*Graph, error) { return graph.ReadMETISFile(path) }
-
-// WriteGraphSnapshot writes g to path in the binary CSR snapshot format
-// (the checksummed, mmap-loadable container the engine's disk cache and
-// mapingest's -o foo.csrbin speak). The write is atomic: a temp file in
-// the destination directory is renamed into place. note is an arbitrary
-// caller string stored verbatim and returned by OpenGraphSnapshot —
-// conventionally a provenance label such as the source path.
-func WriteGraphSnapshot(g *Graph, path, note string) error { return g.WriteSnapshot(path, note) }
-
-// OpenGraphSnapshot loads a snapshot written by WriteGraphSnapshot,
-// returning the graph and the writer's note. The file is verified end
-// to end (container checksum, section shapes, recomputed CSR
-// fingerprint) before anything is returned; truncated, corrupt or
-// stale-version files are an error, never a silently wrong graph. On
-// unix the CSR arrays alias a read-only file mapping, so opening a
-// large snapshot costs a checksum pass plus page-ins, not a parse.
-func OpenGraphSnapshot(path string) (*Graph, string, error) { return graph.OpenSnapshot(path) }
 
 // LoadGraphFile ingests a real-world graph file (SNAP/edge-list,
 // Matrix Market or METIS, auto-detected by default) through the
@@ -279,12 +199,6 @@ func OpenGraphSnapshot(path string) (*Graph, string, error) { return graph.OpenS
 // GraphSpec.Ref — which is also what mapd's POST /v1/graphs does.
 func LoadGraphFile(path string, opt IngestOptions) (*IngestResult, error) {
 	return ingest.LoadFile(path, opt)
-}
-
-// LoadGraphBytes is LoadGraphFile over an in-memory file image (name
-// only drives format auto-detection).
-func LoadGraphBytes(name string, data []byte, opt IngestOptions) (*IngestResult, error) {
-	return ingest.LoadBytes(name, data, opt)
 }
 
 // GenerateNetwork builds a synthetic stand-in for one of the paper's

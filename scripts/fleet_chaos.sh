@@ -39,7 +39,7 @@ fail() {
 }
 
 jget() { # jget FILE KEY — scalar JSON field (dotted = path) without jq
-  go run ./scripts/jsonfield.go "$1" "$2"
+  "$WORK/jsonfield" "$1" "$2"
 }
 
 # Fail fast when any port in the block is already bound, instead of
@@ -74,6 +74,7 @@ start_replica() { # start_replica INDEX -> pid on stdout
 echo "== build mapd + maprouter"
 go build -o "$WORK/mapd" ./cmd/mapd
 go build -o "$WORK/maprouter" ./cmd/maprouter
+go build -o "$WORK/jsonfield" ./scripts/jsonfield.go
 
 echo "== start 3 replicas (shared cache-dir, per-replica job-dir) + router"
 REPLICA_URLS=()

@@ -30,9 +30,11 @@ fail() {
   exit 1
 }
 
-# jget FILE KEY — extract a scalar JSON field without jq.
+# jget FILE KEY — extract a scalar JSON field without jq. The helper is
+# built once: `go run` costs ~100 ms per field, about one job's time,
+# and the kill must land while the single worker still has jobs queued.
 jget() {
-  go run ./scripts/jsonfield.go "$1" "$2"
+  "$WORK/jsonfield" "$1" "$2"
 }
 
 wait_ready() {
@@ -64,6 +66,7 @@ submit() { # submit SEED -> job id on stdout
 
 echo "== build mapd"
 go build -o "$MAPD" ./cmd/mapd
+go build -o "$WORK/jsonfield" ./scripts/jsonfield.go
 
 echo "== first mapd: submit a batch on one worker, then kill -9"
 "$MAPD" -addr "$ADDR" -workers 1 -job-dir "$JOBDIR" &
