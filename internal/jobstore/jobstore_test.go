@@ -193,19 +193,35 @@ func tortureState(t *testing.T, bodies [][]byte) map[string]JobState {
 	return out
 }
 
-// TestWALTorture mirrors snapfile's corruption tests at the ledger
-// level: a generated log is byte-flipped inside every record frame and
-// truncated at every record boundary, and replay must never panic,
-// never resurrect a corrupt record, and always recover exactly the
-// state of the longest valid prefix.
-func TestWALTorture(t *testing.T) {
-	// Build a pristine single-segment log with a varied lifecycle mix.
-	dir := t.TempDir()
+// diffState reports the first way the replayed jobs differ from want,
+// or nil when they match job for job.
+func diffState(jobs []JobState, want map[string]JobState) error {
+	if len(jobs) != len(want) {
+		return fmt.Errorf("recovered %d jobs, want %d", len(jobs), len(want))
+	}
+	for _, j := range jobs {
+		w, ok := want[j.ID]
+		if !ok {
+			return fmt.Errorf("replay resurrected job %s not in the valid prefix", j.ID)
+		}
+		if j.Op != w.Op || j.Error != w.Error || string(j.Result) != string(w.Result) || j.Hash != w.Hash {
+			return fmt.Errorf("job %s diverged from prefix state:\n got %+v\nwant %+v", j.ID, j, w)
+		}
+	}
+	return nil
+}
+
+// writeMixedLog writes n jobs with a varied lifecycle mix (done,
+// failed, interrupted, submitted only) into a fresh ledger, closes it,
+// and returns the path and bytes of its single segment.
+func writeMixedLog(tb testing.TB, n int) (string, []byte) {
+	tb.Helper()
+	dir := tb.TempDir()
 	s, _, err := Open(dir, Options{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("job-%06d", i)
 		s.Submitted(id, fmt.Sprintf("h%d", i), specJSON(i))
 		switch i % 4 {
@@ -220,20 +236,30 @@ func TestWALTorture(t *testing.T) {
 		}
 	}
 	if err := s.Close(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	names, err := segmentNames(dir)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if len(names) != 1 {
-		t.Fatalf("expected one segment, got %v", names)
+		tb.Fatalf("expected one segment, got %v", names)
 	}
-	segPath := filepath.Join(dir, names[0])
-	pristine, err := os.ReadFile(segPath)
+	path := filepath.Join(dir, names[0])
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return path, data
+}
+
+// TestWALTorture mirrors snapfile's corruption tests at the ledger
+// level: a generated log is byte-flipped inside every record frame and
+// truncated at every record boundary, and replay must never panic,
+// never resurrect a corrupt record, and always recover exactly the
+// state of the longest valid prefix.
+func TestWALTorture(t *testing.T) {
+	segPath, pristine := writeMixedLog(t, 8)
 	scan, err := snapfile.ScanRecords(segPath, segKind, segVersion)
 	if err != nil || !scan.Clean {
 		t.Fatalf("pristine log did not scan clean: %v %+v", err, scan)
@@ -249,7 +275,7 @@ func TestWALTorture(t *testing.T) {
 	check := func(t *testing.T, mutated []byte, wantPrefix int) {
 		t.Helper()
 		mdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(mdir, names[0]), mutated, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(mdir, filepath.Base(segPath)), mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		ms, rec, err := Open(mdir, Options{})
@@ -257,18 +283,8 @@ func TestWALTorture(t *testing.T) {
 			t.Fatalf("replay errored instead of recovering: %v", err)
 		}
 		ms.Close()
-		want := tortureState(t, scan.Records[:wantPrefix])
-		if len(rec.Jobs) != len(want) {
-			t.Fatalf("recovered %d jobs, want %d (prefix %d records)", len(rec.Jobs), len(want), wantPrefix)
-		}
-		for _, j := range rec.Jobs {
-			w, ok := want[j.ID]
-			if !ok {
-				t.Fatalf("replay resurrected job %s not in the valid prefix", j.ID)
-			}
-			if j.Op != w.Op || j.Error != w.Error || string(j.Result) != string(w.Result) || j.Hash != w.Hash {
-				t.Fatalf("job %s diverged from prefix state:\n got %+v\nwant %+v", j.ID, j, w)
-			}
+		if err := diffState(rec.Jobs, tortureState(t, scan.Records[:wantPrefix])); err != nil {
+			t.Fatalf("prefix %d records: %v", wantPrefix, err)
 		}
 	}
 
@@ -298,8 +314,7 @@ func TestWALTorture(t *testing.T) {
 	})
 }
 
-func TestFailpointTornAppendRecovers(t *testing.T) {
-	t.Setenv("SNAPFILE_FAILPOINTS", "1")
+func TestTornAppendRecovers(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := Open(dir, Options{})
 	if err != nil {
@@ -308,13 +323,14 @@ func TestFailpointTornAppendRecovers(t *testing.T) {
 	s.Submitted("job-000001", "h1", specJSON(1))
 	s.Done("job-000001", "h1", resultJSON(1))
 	s.Submitted("job-000002", "h2", specJSON(2))
-	// Kill the write of job 2's done record mid-frame: the process "dies"
-	// with a torn tail.
-	if err := snapfile.ArmRecordFailpoint(9); err != nil {
+	// Tear job 2's done record 9 bytes into its frame, as a process
+	// killed mid-write leaves it.
+	torn := s.w.Size() + 9
+	if err := s.Done("job-000002", "h2", resultJSON(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Done("job-000002", "h2", resultJSON(2)); err == nil {
-		t.Fatal("torn append reported success")
+	if err := os.Truncate(s.w.Path(), torn); err != nil {
+		t.Fatal(err)
 	}
 	// No Close — a killed process does not flush or seal.
 
@@ -337,6 +353,36 @@ func TestFailpointTornAppendRecovers(t *testing.T) {
 	if j := byID["job-000002"]; j.Finished() {
 		t.Fatalf("job 2 resurrected from a torn record: %+v", j)
 	}
+}
+
+// FuzzWALReplay makes the fuzzer's bytes a ledger's only segment.
+// Replay must never panic or fail, and must recover exactly the jobs
+// folded from the records snapfile.ScanRecords verifies on the same
+// file: none when the header is rejected. A frame's checksum covers
+// its body, so every verified record is one the seed ledger wrote.
+func FuzzWALReplay(f *testing.F) {
+	_, pristine := writeMixedLog(f, 4)
+	f.Add(pristine)
+	f.Add(pristine[:len(pristine)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, segmentName(1))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var verified [][]byte
+		if scan, err := snapfile.ScanRecords(path, segKind, segVersion); err == nil {
+			verified = scan.Records
+		}
+		s, rec, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("replay errored instead of recovering: %v", err)
+		}
+		s.Close()
+		if err := diffState(rec.Jobs, tortureState(t, verified)); err != nil {
+			t.Fatalf("%d verified records: %v", len(verified), err)
+		}
+	})
 }
 
 func TestStatsShape(t *testing.T) {

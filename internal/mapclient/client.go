@@ -151,16 +151,18 @@ func (c *Client) backoff(attempt int, lastErr error) time.Duration {
 	if apiErr, ok := lastErr.(*APIError); ok && apiErr.RetryAfter > 0 {
 		return min(apiErr.RetryAfter, c.cfg.MaxRetryAfter)
 	}
-	ceil := min(c.cfg.MaxBackoff, c.cfg.BaseBackoff<<uint(attempt-1))
+	// Double up to MaxBackoff by adding at most the headroom left below
+	// it: shifting first would overflow int64 on a long retry run.
+	ceil := min(c.cfg.BaseBackoff, c.cfg.MaxBackoff)
+	for n := 1; n < attempt && ceil < c.cfg.MaxBackoff; n++ {
+		ceil += min(ceil, c.cfg.MaxBackoff-ceil)
+	}
 	return time.Duration(rand.Int64N(int64(ceil) + 1))
 }
 
 // attempt performs a single HTTP round trip under the per-attempt
-// deadline, routing through the armed failpoints first.
+// deadline.
 func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
-	if err := failpointEnter(); err != nil {
-		return err
-	}
 	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
 	defer cancel()
 	var rd io.Reader

@@ -50,6 +50,86 @@ func TestRetriesTransientThenSucceeds(t *testing.T) {
 	}
 }
 
+// roundTripFunc adapts a function to http.RoundTripper, so a test can
+// fail round trips before they reach the server.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+func TestDroppedConnectionsRetriedTransparently(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		json.NewEncoder(w).Encode(engine.Job{ID: "job-000001", Status: engine.StatusQueued})
+	}))
+	defer srv.Close()
+
+	// The first two round trips die the way a connection reset by a
+	// dying replica does: an error before any response.
+	var trips atomic.Int64
+	cfg := fastCfg()
+	cfg.HTTPClient = &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if trips.Add(1) <= 2 {
+			return nil, errors.New("connection reset by peer")
+		}
+		return srv.Client().Transport.RoundTrip(r)
+	})}
+	c := New(srv.URL, cfg)
+	job, err := c.SubmitJob(context.Background(), engine.JobSpec{Topology: "grid:4x4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.ID != "job-000001" {
+		t.Errorf("job ID = %q", job.ID)
+	}
+	// The two dropped attempts never reached the server.
+	if got := calls.Load(); got != 1 {
+		t.Errorf("server saw %d calls, want 1", got)
+	}
+	if got := c.Retries(); got != 2 {
+		t.Errorf("client counted %d retries, want 2", got)
+	}
+}
+
+func TestAttemptTimeoutFailsAttemptNotCall(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			// A stuck replica: hold the request until the client gives up
+			// on this attempt.
+			<-r.Context().Done()
+			return
+		}
+		json.NewEncoder(w).Encode(engine.Job{ID: "job-000001", Status: engine.StatusQueued})
+	}))
+	defer srv.Close()
+
+	cfg := fastCfg()
+	cfg.AttemptTimeout = 100 * time.Millisecond
+	c := New(srv.URL, cfg)
+	start := time.Now()
+	if _, err := c.GetJob(context.Background(), "job-000001"); err != nil {
+		t.Fatalf("stuck first attempt failed the call: %v", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("call took %v, want the stuck attempt cut at ~100ms", took)
+	}
+	if got := c.Retries(); got != 1 {
+		t.Errorf("client counted %d retries, want 1", got)
+	}
+}
+
+func TestBackoffStaysInRange(t *testing.T) {
+	// Default BaseBackoff and MaxBackoff: doubling 100ms overflows int64
+	// at the 38th retry unless it stops at the cap.
+	c := New("http://127.0.0.1:1", Config{MaxAttempts: 100})
+	for attempt := 1; attempt < c.cfg.MaxAttempts; attempt++ {
+		if d := c.backoff(attempt, nil); d < 0 || d > c.cfg.MaxBackoff {
+			t.Fatalf("backoff before attempt %d = %v, want within [0, %v]", attempt, d, c.cfg.MaxBackoff)
+		}
+	}
+}
+
 func TestNeverRetries4xx(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

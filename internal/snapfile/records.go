@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 )
 
 // Record streams are snapfile's append-only sibling of the sealed
@@ -109,15 +108,6 @@ func (w *RecordWriter) Append(body []byte) error {
 	binary.LittleEndian.PutUint32(frame, uint32(len(body)))
 	copy(frame[frameHeaderSize:], body)
 	binary.LittleEndian.PutUint64(frame[8:], frameChecksum(len(body), frame[frameHeaderSize:]))
-	if n, ok := failpointCut(frame); ok {
-		// Armed failpoint: emulate the process dying mid-write by
-		// persisting only a prefix of the frame and failing the append.
-		if n > 0 {
-			w.f.Write(frame[:n])
-		}
-		w.size += int64(n)
-		return fmt.Errorf("snapfile: failpoint killed write after %d of %d bytes", n, len(frame))
-	}
 	n, err := w.f.Write(frame)
 	w.size += int64(n)
 	if err != nil {
@@ -215,51 +205,4 @@ func ScanRecords(path string, kind, kindVersion uint32) (*ScanResult, error) {
 		res.Bytes = off
 	}
 	return res, nil
-}
-
-// Failpoint support: a test-only hook that makes the next Append
-// persist only a prefix of its frame, emulating a process killed mid-
-// write. Arming requires the SNAPFILE_FAILPOINTS environment variable
-// (tests use t.Setenv), so production code paths can never trip it by
-// accident; the hook itself is one atomic countdown, zero cost when
-// disarmed.
-var (
-	failpointMu   sync.Mutex
-	failpointCuts []int
-)
-
-// ErrFailpointsDisabled is returned by ArmRecordFailpoint when the
-// SNAPFILE_FAILPOINTS environment variable is not "1".
-var ErrFailpointsDisabled = errors.New("snapfile: failpoints need SNAPFILE_FAILPOINTS=1")
-
-// ArmRecordFailpoint schedules the next Append (process-wide) to write
-// only cutBytes of its frame and fail, as if the process had been
-// killed mid-write. cutBytes beyond the frame length writes the whole
-// frame. Only available with SNAPFILE_FAILPOINTS=1 in the environment.
-func ArmRecordFailpoint(cutBytes int) error {
-	if os.Getenv("SNAPFILE_FAILPOINTS") != "1" {
-		return ErrFailpointsDisabled
-	}
-	failpointMu.Lock()
-	failpointCuts = append(failpointCuts, cutBytes)
-	failpointMu.Unlock()
-	return nil
-}
-
-// failpointCut pops the next armed cut, clamped to the frame size.
-func failpointCut(frame []byte) (int, bool) {
-	failpointMu.Lock()
-	defer failpointMu.Unlock()
-	if len(failpointCuts) == 0 {
-		return 0, false
-	}
-	n := failpointCuts[0]
-	failpointCuts = failpointCuts[1:]
-	if n > len(frame) {
-		n = len(frame)
-	}
-	if n < 0 {
-		n = 0
-	}
-	return n, true
 }

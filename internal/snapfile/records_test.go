@@ -2,7 +2,6 @@ package snapfile
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -194,46 +193,6 @@ func TestRecordScanTortureTruncations(t *testing.T) {
 		}
 		if res.Clean != wantClean {
 			t.Fatalf("cut at %d: clean=%v, want %v", cut, res.Clean, wantClean)
-		}
-	}
-}
-
-func TestRecordFailpointTornWrite(t *testing.T) {
-	if err := ArmRecordFailpoint(4); err != ErrFailpointsDisabled {
-		t.Fatalf("failpoint armed without the env gate: %v", err)
-	}
-	t.Setenv("SNAPFILE_FAILPOINTS", "1")
-
-	full := []byte(`{"op":"done","id":"job-000007"}`)
-	frameLen := frameHeaderSize + int(align8(int64(len(full))))
-	for cut := 0; cut < frameLen; cut++ {
-		path := filepath.Join(t.TempDir(), fmt.Sprintf("torn-%d.seg", cut))
-		w, err := CreateRecords(path, testRecKind, testRecVersion)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Append([]byte(`{"op":"submitted","id":"job-000007"}`)); err != nil {
-			t.Fatal(err)
-		}
-		if err := ArmRecordFailpoint(cut); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Append(full); err == nil {
-			t.Fatal("failpoint append reported success")
-		}
-		w.Close()
-
-		res, err := ScanRecords(path, testRecKind, testRecVersion)
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		if len(res.Records) != 1 {
-			t.Fatalf("cut %d: recovered %d records, want the 1 intact record", cut, len(res.Records))
-		}
-		// A zero-byte cut leaves the file ending exactly on the previous
-		// frame boundary — that is a clean tail; any partial frame is not.
-		if wantClean := cut == 0; res.Clean != wantClean {
-			t.Fatalf("cut %d: clean=%v, want %v", cut, res.Clean, wantClean)
 		}
 	}
 }
