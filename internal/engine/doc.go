@@ -17,10 +17,10 @@
 // pool runs up to Options.Workers pipelines concurrently — the
 // throughput axis, right for many small jobs. Within a job, wide mode
 // (wide.go) lets an underloaded pool lend idle capacity to a single
-// big job: the partition stage bisects both halves of a recursion node
-// concurrently and the TIMER stage speculates upcoming hierarchy
-// trials on helper goroutines — the latency axis, right for one big
-// graph. Both axes preserve the engine's determinism contract: a job's
+// big job: the partition or DRB stage bisects both halves of a
+// recursion node concurrently and the TIMER stage speculates upcoming
+// hierarchy trials on helper goroutines — the latency axis, right for
+// one big graph. Both axes preserve the engine's determinism contract: a job's
 // quality fields (everything JobResult.StripPerf keeps) are
 // byte-identical whether the job ran sequentially, wide, or on a busy
 // pool. The "Concurrency & determinism" chapter of DESIGN.md documents

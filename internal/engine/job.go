@@ -258,9 +258,9 @@ type JobSpec struct {
 	TimerWorkers int `json:"-"`
 	// SwapRounds repeats TIMER's sibling-swap pass per level (default 1).
 	SwapRounds int `json:"swap_rounds,omitempty"`
-	// Wide forces wide mode for this job: the partition and TIMER stages
-	// may fan work onto helper goroutines regardless of pool occupancy
-	// (the engine-wide helper-token budget still applies). Results are
+	// Wide forces wide mode for this job: the partition (or DRB) and
+	// TIMER stages may fan work onto helper goroutines regardless of
+	// pool occupancy (the engine-wide helper-token budget still applies). Results are
 	// byte-identical to the sequential run — wide mode only changes
 	// wall-clock and the result's Width diagnostic; see wide.go. Without
 	// this flag the engine widens jobs automatically while the pool is
@@ -445,8 +445,8 @@ func moreThanOne(flags ...bool) bool {
 // canonical spec key and multilevel partitions by (graph fingerprint,
 // K, ε, partition seed), with single-flight coalescing of concurrent
 // identical requests. spawn, when non-nil, is the wide-mode helper hook
-// handed to the partition and TIMER stages (see wide.go); results are
-// byte-identical with or without it.
+// handed to the DRB, partition and TIMER stages (see wide.go); results
+// are byte-identical with or without it.
 func runPipeline(spec JobSpec, resolve func(string) (*topology.Topology, error),
 	resolveRef func(string) (*graph.Graph, error),
 	stage func(name string, seconds float64), ws *workerScratch, arts *ArtifactCache,
@@ -524,7 +524,7 @@ func runPipeline(spec JobSpec, resolve func(string) (*topology.Topology, error),
 	case C1SCOTCH:
 		if err := timed("drb", func() error {
 			t0 := time.Now()
-			cfg := mapping.DRBConfig{Epsilon: spec.Epsilon, Seed: spec.Seed, Fast: true}
+			cfg := mapping.DRBConfig{Epsilon: spec.Epsilon, Seed: spec.Seed, Fast: true, Spawn: spawn}
 			var a []int32
 			var err error
 			if baseSc != nil {

@@ -6,14 +6,17 @@ import (
 )
 
 // Wide mode lets one job use more than one worker: when the pool is
-// underloaded, a job's partition stage fans post-bisection halves and
-// its TIMER stage fans speculative hierarchy trials onto helper
-// goroutines. Both fan-outs are result-transparent — partition derives
-// every recursion node's rng seed from its position (see
-// partition.Config.Spawn) and TIMER replays the sequential acceptance
-// order over speculated trials (see core.Options.Spawn) — so a wide
-// job's JobResult quality fields are byte-identical to the sequential
-// run; only wall-clock and the Width diagnostic change.
+// underloaded, a job's partition stage (or, for case c1, its DRB
+// stage) fans post-bisection halves and its TIMER stage fans
+// speculative hierarchy trials onto helper goroutines. All three
+// fan-outs are result-transparent — partition derives every recursion
+// node's rng seed from its position (see partition.Config.Spawn), DRB
+// draws its seeds up front and recomputes a right half that guessed
+// its first seed index wrong (see mapping.DRBConfig.Spawn), and TIMER
+// replays the sequential acceptance order over speculated trials (see
+// core.Options.Spawn) — so a wide job's JobResult quality fields are
+// byte-identical to the sequential run; only wall-clock and the Width
+// diagnostic change.
 //
 // Helpers are bounded twice. A token pool of max(1, Workers−1) caps the
 // engine's total helper goroutines so wide jobs can never oversubscribe
@@ -66,8 +69,8 @@ func (e *Engine) underloaded() bool {
 
 // spawnFor returns the Spawn hook handed to one job's pipeline stages.
 // force (JobSpec.Wide) skips the occupancy check; the token pool always
-// applies. The hook is safe for concurrent calls, as the partition and
-// TIMER contracts require.
+// applies. The hook is safe for concurrent calls, as the partition, DRB
+// and TIMER contracts require.
 func (e *Engine) spawnFor(force bool, st *wideState) func(func()) bool {
 	return func(fn func()) bool {
 		if !force && !e.underloaded() {

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Contractor contracts graphs into reusable CSR storage. It exists for
 // hot loops that repeatedly coarsen and discard graphs — TIMER builds
@@ -22,7 +19,7 @@ type Contractor struct {
 	pos    []int32 // coarse id -> accumulating slot in dst.ew
 	mstart []int32 // coarse id -> member range start (counting sort)
 	mlist  []int32 // members grouped by coarse id
-	row    rowSorter
+	stage  Graph   // ContractSortedInto's unsorted contraction
 }
 
 // Resize returns s with length n, reusing its backing array when it is
@@ -123,37 +120,34 @@ func (c *Contractor) ContractInto(dst *Graph, g *Graph, coarse []int32, nCoarse 
 	dst.tew = tew
 }
 
-// ContractSortedInto is ContractInto followed by an in-place sort of
-// every adjacency row by neighbor id. The result is structurally
-// identical to ContractPairs/Quotient — Builder emits sorted rows — so
-// call sites whose tie-breaking depends on adjacency order (the
-// multilevel partitioner, the greedy mappers' communication graphs) can
-// switch to reused storage without perturbing a single decision.
+// ContractSortedInto is ContractInto with every adjacency row sorted by
+// neighbor id. The result is structurally identical to
+// ContractPairs/Quotient — Builder emits sorted rows — so call sites
+// whose tie-breaking depends on adjacency order (the multilevel
+// partitioner, the greedy mappers' communication graphs) can switch to
+// reused storage without perturbing a single decision.
+//
+// It contracts into the Contractor's staging graph and transposes that
+// into dst: a contracted graph is symmetric, so scanning the staging
+// rows in increasing id appends each destination row's neighbors
+// already in increasing order. The staging CSR is the price, retained
+// at its high-water mark like the rest of the Contractor.
 func (c *Contractor) ContractSortedInto(dst *Graph, g *Graph, coarse []int32, nCoarse int) {
-	c.ContractInto(dst, g, coarse, nCoarse)
+	st := &c.stage
+	c.ContractInto(st, g, coarse, nCoarse)
+	dst.vw = append(dst.vw[:0], st.vw...)
+	dst.xadj = append(dst.xadj[:0], st.xadj...)
+	dst.adj = Resize(dst.adj, len(st.adj))
+	dst.ew = Resize(dst.ew, len(st.ew))
+	next := c.pos // free once ContractInto returns: row write cursors
+	copy(next, st.xadj[:nCoarse])
 	for cv := 0; cv < nCoarse; cv++ {
-		lo, hi := dst.xadj[cv], dst.xadj[cv+1]
-		if hi-lo < 2 {
-			continue
+		for i := st.xadj[cv]; i < st.xadj[cv+1]; i++ {
+			cu := st.adj[i]
+			p := next[cu]
+			dst.adj[p], dst.ew[p] = int32(cv), st.ew[i]
+			next[cu] = p + 1
 		}
-		c.row.adj = dst.adj[lo:hi]
-		c.row.ew = dst.ew[lo:hi]
-		sort.Sort(&c.row)
 	}
-	c.row.adj, c.row.ew = nil, nil
-}
-
-// rowSorter sorts one adjacency row by neighbor id, carrying the edge
-// weights along. It lives inside the Contractor so the sort.Interface
-// value never escapes to the heap.
-type rowSorter struct {
-	adj []int32
-	ew  []int64
-}
-
-func (r *rowSorter) Len() int           { return len(r.adj) }
-func (r *rowSorter) Less(i, j int) bool { return r.adj[i] < r.adj[j] }
-func (r *rowSorter) Swap(i, j int) {
-	r.adj[i], r.adj[j] = r.adj[j], r.adj[i]
-	r.ew[i], r.ew[j] = r.ew[j], r.ew[i]
+	dst.m, dst.tvw, dst.tew = st.m, st.tvw, st.tew
 }

@@ -2,7 +2,6 @@ package mapping
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -19,6 +18,16 @@ type DRBConfig struct {
 	// is much faster than a full KaHIP partition (the paper measures it
 	// at ~19× on average); Fast reproduces that speed/quality trade-off.
 	Fast bool
+	// Spawn, when non-nil, lets DRB offload the right half of a
+	// bisection onto another goroutine, under partition.Config.Spawn's
+	// contract: run the function (on any goroutine) and return true, or
+	// decline with false and the caller runs the half inline; the hook
+	// must be safe for concurrent calls. The mapping is byte-identical
+	// to the sequential one: the bisection seeds are drawn up front in
+	// pre-order, a spawned half guesses its first seed index, and a
+	// wrong guess is recomputed inline after the join (see drbRecurse).
+	// The engine's wide mode supplies it; nil keeps one goroutine.
+	Spawn func(func()) bool
 }
 
 // DRB maps ga onto topo by dual recursive bipartitioning (paper case c1;
@@ -45,14 +54,13 @@ func (sc *Scratch) DRB(ga *graph.Graph, topo *topology.Topology, cfg DRBConfig) 
 	if ga.N() < topo.P() {
 		return nil, fmt.Errorf("mapping: application graph has %d vertices for %d PEs", ga.N(), topo.P())
 	}
-	pcfg := partition.Config{K: 2, Epsilon: cfg.Epsilon, Seed: cfg.Seed, Scratch: sc.Partition}
-	if cfg.Fast {
-		pcfg.InitialTries = 2
-		pcfg.FMPasses = 1
-		pcfg.CoarsestSize = 400
-	}
+	// Each of the P−1 inner nodes of the PE recursion draws at most one
+	// bisection seed, in pre-order, from one stream: draw them up front.
 	rng := sc.seedRNG(cfg.Seed)
-	assign := make([]int32, ga.N())
+	seeds := graph.Resize(sc.seeds, topo.P()-1)
+	for i := range seeds {
+		seeds[i] = rng.Int63()
+	}
 	pes := graph.Resize(sc.pes, topo.P())
 	for i := range pes {
 		pes[i] = int32(i)
@@ -61,29 +69,64 @@ func (sc *Scratch) DRB(ga *graph.Graph, topo *topology.Topology, cfg DRBConfig) 
 	for i := range verts {
 		verts[i] = int32(i)
 	}
-	sc.pes, sc.verts = pes, verts
-	sc.drbRecurse(ga, topo, pcfg, rng, verts, pes, assign, 0)
-	return assign, nil
+	sc.seeds, sc.pes, sc.verts = seeds, pes, verts
+	run := &drbRun{
+		topo:   topo,
+		pcfg:   partition.Config{K: 2, Epsilon: cfg.Epsilon, Seed: cfg.Seed},
+		spawn:  cfg.Spawn,
+		seeds:  seeds,
+		assign: make([]int32, ga.N()),
+	}
+	if cfg.Fast {
+		run.pcfg.InitialTries = 2
+		run.pcfg.FMPasses = 1
+		run.pcfg.CoarsestSize = 400
+	}
+	sc.drbRecurse(run, ga, verts, pes, 0, 0)
+	return run.assign, nil
 }
 
+// drbRun is one DRB call's state, shared by every recursion node and
+// every spawned half. Only assign is written, each node writing the
+// entries of its own vertices.
+type drbRun struct {
+	topo   *topology.Topology
+	pcfg   partition.Config // Scratch is set per goroutine
+	spawn  func(func()) bool
+	seeds  []int64
+	assign []int32
+}
+
+// singleSide is the bisection of a one-vertex subgraph: the vertex goes
+// left, and no seed is drawn.
+var singleSide = []int32{0}
+
 // drbRecurse assigns the vertices of sub (a subset of the original Ga,
-// as an induced subgraph with ids verts) to the PE subset pes. depth
-// indexes the scratch's per-recursion-level storage.
-func (sc *Scratch) drbRecurse(sub *graph.Graph, topo *topology.Topology, pcfg partition.Config,
-	rng *rand.Rand, verts, pes []int32, assign []int32, depth int) {
+// as an induced subgraph with ids verts) to the PE subset pes. next is
+// the index in run.seeds of the subtree's first bisection seed; the
+// index after its last is returned. A node whose subgraph has a single
+// vertex draws no seed, so a subtree's seed count is known only once it
+// has run. depth indexes the scratch's per-recursion-level storage.
+func (sc *Scratch) drbRecurse(run *drbRun, sub *graph.Graph, verts, pes []int32, next, depth int) int {
 	if len(pes) == 1 {
 		for _, v := range verts {
-			assign[v] = pes[0]
+			run.assign[v] = pes[0]
 		}
-		return
+		return next
 	}
 	// All depth-state writes happen before recursing: deeper calls may
 	// grow sc.depths and invalidate the pointer.
 	ds := sc.depth(depth)
-	pesL, pesR := splitPEsInto(topo, pes, ds.pesL[:0], ds.pesR[:0])
+	pesL, pesR := splitPEsInto(run.topo, pes, ds.pesL[:0], ds.pesR[:0])
 	fracL := float64(len(pesL)) / float64(len(pes))
 
-	side := bisectProportional(sub, pcfg, rng, fracL)
+	side := singleSide
+	if sub.N() != 1 {
+		pcfg := run.pcfg
+		pcfg.Scratch = sc.Partition
+		side = bisectProportional(sub, pcfg, fracL, run.seeds[next])
+		next++
+	}
 
 	leftIdx, rightIdx := ds.leftIdx[:0], ds.rightIdx[:0]
 	for v := 0; v < sub.N(); v++ {
@@ -108,8 +151,34 @@ func (sc *Scratch) drbRecurse(sub *graph.Graph, topo *topology.Topology, pcfg pa
 	ds.vertsL, ds.vertsR = vertsL, vertsR
 	ds.pesL, ds.pesR = pesL, pesR
 
-	sc.drbRecurse(subL, topo, pcfg, rng, vertsL, pesL, assign, depth+1)
-	sc.drbRecurse(subR, topo, pcfg, rng, vertsR, pesR, assign, depth+1)
+	// Offload the right half when the caller provided Spawn and the half
+	// is more than a leaf fill. It starts at the seed index the left
+	// half ends at when every left inner node draws a seed. The spawned
+	// task owns a pooled Scratch, and subR/vertsR/pesR stay untouched in
+	// this depth's state while the left half runs. After the join, a
+	// left half that ended elsewhere means the guess was wrong: the right
+	// half is recomputed inline from the true index, which overwrites
+	// only its own vertices' assignments.
+	if run.spawn != nil && len(pesR) > 1 {
+		guess := next + len(pesL) - 1
+		done := make(chan struct{})
+		var rightEnd int
+		if run.spawn(func() {
+			defer close(done)
+			rsc := getScratch()
+			rightEnd = rsc.drbRecurse(run, subR, vertsR, pesR, guess, 0)
+			putScratch(rsc)
+		}) {
+			leftEnd := sc.drbRecurse(run, subL, vertsL, pesL, next, depth+1)
+			<-done
+			if leftEnd == guess {
+				return rightEnd
+			}
+			return sc.drbRecurse(run, subR, vertsR, pesR, leftEnd, depth+1)
+		}
+	}
+	next = sc.drbRecurse(run, subL, vertsL, pesL, next, depth+1)
+	return sc.drbRecurse(run, subR, vertsR, pesR, next, depth+1)
 }
 
 // splitPEsInto halves a PE subset along the label digit that divides it
@@ -160,11 +229,8 @@ func splitPEsInto(topo *topology.Topology, pes []int32, left, right []int32) ([]
 // with asymmetric targets; with a scratch-backed config the returned
 // side aliases the partitioner scratch and is consumed before the next
 // bisection.
-func bisectProportional(sub *graph.Graph, pcfg partition.Config, rng *rand.Rand, fracL float64) []int32 {
-	if sub.N() == 1 {
-		return []int32{0}
-	}
-	res, err := partition.PartitionProportional(sub, pcfg, fracL, rng.Int63())
+func bisectProportional(sub *graph.Graph, pcfg partition.Config, fracL float64, seed int64) []int32 {
+	res, err := partition.PartitionProportional(sub, pcfg, fracL, seed)
 	if err != nil {
 		// Degenerate (e.g. sub too small): put everything on side 0.
 		side := make([]int32, sub.N())

@@ -37,6 +37,7 @@ type Scratch struct {
 
 	// DRB recursion state.
 	rng        *rand.Rand
+	seeds      []int64 // bisection seeds, pre-order
 	depths     []drbDepth
 	remap      []int32
 	verts, pes []int32

@@ -197,15 +197,25 @@ func BenchmarkGreedyWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkDRBWarm runs warm DRB sequentially and wide, with a Spawn
+// hook that always accepts (one goroutine per offered right half).
 func BenchmarkDRBWarm(b *testing.B) {
 	ga, _, topo := benchInstance(b)
-	sc := NewScratch()
-	cfg := DRBConfig{Epsilon: 0.03, Seed: 1, Fast: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sc.DRB(ga, topo, cfg); err != nil {
-			b.Fatal(err)
-		}
+	always := func(fn func()) bool { go fn(); return true }
+	for _, mode := range []struct {
+		name  string
+		spawn func(func()) bool
+	}{{"sequential", nil}, {"wide", always}} {
+		b.Run(mode.name, func(b *testing.B) {
+			sc := NewScratch()
+			cfg := DRBConfig{Epsilon: 0.03, Seed: 1, Fast: true, Spawn: mode.spawn}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sc.DRB(ga, topo, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -188,10 +188,11 @@ func sideWeight(g *graph.Graph, side []int32) int64 {
 }
 
 // rebalanceBisection moves vertices across the cut (cheapest damage
-// first) until side 0's weight lies in [loL, hiL]. Move gains are
-// computed once and maintained incrementally across moves — exact
-// integer arithmetic, so the selected sequence is identical to
-// rescanning every neighborhood per move at a fraction of the cost.
+// first) until side 0's weight lies in [loL, hiL]. Each move takes the
+// shrinking side's vertex of largest gain, the smallest id among equal
+// gains. Gains are computed once and maintained incrementally, and each
+// side's candidates sit in a heap under that same total order, so the
+// heap's pops are exactly the first maximum of a scan in id order.
 func (sc *Scratch) rebalanceBisection(g *graph.Graph, side []int32, loL, hiL int64) {
 	w0 := sideWeight(g, side)
 	if w0 >= loL && w0 <= hiL {
@@ -200,11 +201,17 @@ func (sc *Scratch) rebalanceBisection(g *graph.Graph, side []int32, loL, hiL int
 	n := g.N()
 	gain := graph.Resize(sc.gain, n)
 	sc.gain = gain
+	hs := &sc.rebal
+	hs[0], hs[1] = hs[0][:0], hs[1][:0]
 	for v := 0; v < n; v++ {
 		gain[v] = moveGain(g, side, v)
+		hs[side[v]] = append(hs[side[v]], heapEntry{int32(v), gain[v]})
 	}
+	hs[0].init()
+	hs[1].init()
 	// The iteration bound guards against oscillation when no assignment
 	// can hit the window exactly (possible with heavy vertices).
+	last := -1
 	for iter := 0; (w0 < loL || w0 > hiL) && iter <= 2*n; iter++ {
 		var from int32 // side to shrink
 		if w0 > hiL {
@@ -212,42 +219,48 @@ func (sc *Scratch) rebalanceBisection(g *graph.Graph, side []int32, loL, hiL int
 		} else {
 			from = 1
 		}
-		// Pick the movable vertex with the best gain (first max wins).
-		bestV := -1
-		var bestScore int64 = math.MinInt64
-		for v := 0; v < n; v++ {
-			if side[v] != from {
-				continue
-			}
-			if gain[v] > bestScore {
-				bestScore = gain[v]
-				bestV = v
-			}
-		}
-		if bestV < 0 {
+		v := hs[from].popValid(side, gain, from)
+		if v < 0 {
 			return // nothing movable; give up (caller re-checks feasibility)
 		}
-		oldSide := side[bestV]
-		if from == 0 {
-			side[bestV] = 1
-			w0 -= g.VertexWeight(bestV)
-		} else {
-			side[bestV] = 0
-			w0 += g.VertexWeight(bestV)
-		}
-		// The flip inverts bestV's gain and toggles the edge terms of its
-		// neighbors: an edge that was internal to u is now external (+2w)
-		// and vice versa.
-		nbr, ew := g.Neighbors(bestV)
-		for i, u := range nbr {
-			if side[u] == oldSide {
-				gain[u] += 2 * ew[i]
-			} else {
-				gain[u] -= 2 * ew[i]
+		if v == last {
+			// Moving v back restores the state before its last move, so
+			// from here on v would flip every iteration until the bound.
+			// Stop in the state the bound would leave.
+			if (2*n-iter)%2 == 0 {
+				w0 = sc.flipRebalance(g, side, gain, v, w0)
 			}
+			return
 		}
-		gain[bestV] = -gain[bestV]
+		w0 = sc.flipRebalance(g, side, gain, v, w0)
+		last = v
 	}
+}
+
+// flipRebalance moves v to the other side and returns side 0's new
+// weight. The flip inverts v's gain and toggles the edge terms of its
+// neighbors: an edge that was internal to u is now external (+2w) and
+// vice versa. Every changed gain enters its side's heap.
+func (sc *Scratch) flipRebalance(g *graph.Graph, side []int32, gain []int64, v int, w0 int64) int64 {
+	oldSide := side[v]
+	side[v] = 1 - oldSide
+	if oldSide == 0 {
+		w0 -= g.VertexWeight(v)
+	} else {
+		w0 += g.VertexWeight(v)
+	}
+	nbr, ew := g.Neighbors(v)
+	for i, u := range nbr {
+		if side[u] == oldSide {
+			gain[u] += 2 * ew[i]
+		} else {
+			gain[u] -= 2 * ew[i]
+		}
+		sc.rebal[side[u]].push(heapEntry{u, gain[u]})
+	}
+	gain[v] = -gain[v]
+	sc.rebal[side[v]].push(heapEntry{int32(v), gain[v]})
+	return w0
 }
 
 // rebalanceBisection is the standalone form for tests and external
@@ -327,4 +340,68 @@ func (h gainHeap) down(i0, n int) {
 		h.swap(i, j)
 		i = j
 	}
+}
+
+// idHeap is rebalanceBisection's candidate heap: a max-heap by gain,
+// smaller vertex id first among equal gains. Entries are invalidated
+// lazily — one is current iff its vertex is still on the heap's side
+// with the same gain — and every gain or side change pushes a new one.
+type idHeap []heapEntry
+
+func (h idHeap) less(i, j int) bool {
+	return h[i].gain > h[j].gain || h[i].gain == h[j].gain && h[i].v < h[j].v
+}
+
+func (h *idHeap) push(e heapEntry) {
+	*h = append(*h, e)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h idHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h idHeap) down(i int) {
+	n := len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if j+1 < n && h.less(j+1, j) {
+			j++
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// popValid removes entries until it pops a current one for side and
+// returns its vertex, or -1 once the heap is empty.
+func (h *idHeap) popValid(side []int32, gain []int64, s int32) int {
+	for len(*h) > 0 {
+		old := *h
+		e := old[0]
+		n := len(old) - 1
+		old[0] = old[n]
+		*h = old[:n]
+		h.down(0)
+		if side[e.v] == s && gain[e.v] == e.gain {
+			return int(e.v)
+		}
+	}
+	return -1
 }

@@ -21,7 +21,8 @@ import (
 //     refinement connectivity tables and the enforceBalance target
 //     accumulators;
 //   - the matching/clustering orders (a rand.Perm-equivalent fill of a
-//     reused buffer) and the seeded rand.Rand itself.
+//     reused buffer) and the rand.Rand itself, over a lazily seeded
+//     source (see lazySource) that every recursion node reseeds.
 //
 // Engine workers keep one Scratch per worker goroutine and pass it via
 // Config.Scratch; library callers can ignore it (Partition then borrows
@@ -40,7 +41,8 @@ type Scratch struct {
 	gain       []int64
 	moved      []bool
 	moveLog    []int32
-	bisA, bisB []int32 // greedy-growing try double buffer
+	bisA, bisB []int32   // greedy-growing try double buffer
+	rebal      [2]idHeap // rebalanceBisection's candidates per side
 
 	// k-way refinement, balance enforcement and clustering. conn/stamp
 	// are sized to max(K, N) and shared by every stamped scan.
@@ -105,11 +107,11 @@ func (sc *Scratch) depth(d int) *depthState {
 
 // seedRNG returns the scratch's deterministic generator, reseeded. The
 // stream is identical to rand.New(rand.NewSource(seed)), so scratch
-// reuse can never perturb a randomized decision.
+// reuse can never perturb a randomized decision; its lazySource makes
+// the reseed O(1) instead of a full register fill.
 func (sc *Scratch) seedRNG(seed int64) *rand.Rand {
 	if sc.rng == nil {
-		sc.rng = rand.New(rand.NewSource(seed))
-		return sc.rng
+		sc.rng = rand.New(new(lazySource))
 	}
 	sc.rng.Seed(seed)
 	return sc.rng

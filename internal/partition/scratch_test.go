@@ -2,6 +2,7 @@ package partition
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -200,15 +201,22 @@ func BenchmarkPartitionCold(b *testing.B) {
 	}
 }
 
+// BenchmarkPartitionWarm runs the warm hot path at the smoke matrix's
+// K=64 and at K=1024, where a bisection's subgraphs are a few vertices
+// each: per-node seeding and rebalance weigh most there.
 func BenchmarkPartitionWarm(b *testing.B) {
 	g := benchGraph(b)
-	sc := NewScratch()
-	cfg := Config{K: 64, Epsilon: 0.03, Seed: 1, Scratch: sc}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Partition(g, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, k := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			sc := NewScratch()
+			cfg := Config{K: k, Epsilon: 0.03, Seed: 1, Scratch: sc}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Partition(g, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"encoding/binary"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -91,6 +92,66 @@ func TestResultSnapshotRejectsLengthMismatch(t *testing.T) {
 	if _, _, err := OpenResultSnapshot(path); err == nil {
 		t.Fatal("part-length/header mismatch went undetected")
 	}
+}
+
+// FuzzOpenResultSnapshot feeds the partition snapshot decoder
+// fuzzer-chosen meta words (8 little-endian bytes each), Part bytes and
+// a note, written through snapfile.Write so every input passes the
+// container checksum and reaches OpenResultSnapshot's own checks. It
+// must never panic, and whatever it accepts must be a usable
+// partition: K ≥ 1, one block per vertex as meta word 4 says, every
+// block in [0, K), and the note it was given.
+func FuzzOpenResultSnapshot(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "seed.snap")
+	if err := WriteResultSnapshot(path, "part:seed", snapResult()); err != nil {
+		f.Fatal(err)
+	}
+	sf, err := snapfile.Open(path, resultKind, resultVersion)
+	if err != nil {
+		f.Fatal(err)
+	}
+	metaBytes := func(meta []uint64) []byte {
+		b := make([]byte, 8*len(meta))
+		for i, w := range meta {
+			binary.LittleEndian.PutUint64(b[8*i:], w)
+		}
+		return b
+	}
+	part := append([]byte(nil), sf.Section(0)...)
+	f.Add(metaBytes(sf.Meta), part, string(sf.Section(1)))
+	kZero := append([]uint64(nil), sf.Meta...)
+	kZero[0] = 0
+	f.Add(metaBytes(kZero), part, "k=0")
+	f.Add(metaBytes(sf.Meta), part[:13], "short part")
+
+	f.Fuzz(func(t *testing.T, metaRaw, partRaw []byte, note string) {
+		meta := make([]uint64, len(metaRaw)/8)
+		for i := range meta {
+			meta[i] = binary.LittleEndian.Uint64(metaRaw[8*i:])
+		}
+		path := filepath.Join(t.TempDir(), "p.snap")
+		if err := snapfile.Write(path, resultKind, resultVersion, meta, [][]byte{partRaw, []byte(note)}); err != nil {
+			t.Skip(err) // beyond the container's caps: not a decoder input
+		}
+		r, gotNote, err := OpenResultSnapshot(path)
+		if err != nil {
+			return
+		}
+		if r.K < 1 {
+			t.Fatalf("accepted K = %d", r.K)
+		}
+		if uint64(len(r.Part)) != meta[4] {
+			t.Fatalf("accepted %d part entries, meta word 4 says %d", len(r.Part), meta[4])
+		}
+		for v, b := range r.Part {
+			if b < 0 || int(b) >= r.K {
+				t.Fatalf("accepted vertex %d in block %d, outside [0, %d)", v, b, r.K)
+			}
+		}
+		if gotNote != note {
+			t.Fatalf("note = %q, want %q", gotNote, note)
+		}
+	})
 }
 
 func BenchmarkResultSnapshotWrite(b *testing.B) {

@@ -12,3 +12,6 @@ import (
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	return nil, fmt.Errorf("snapfile: mmap not supported on this platform")
 }
+
+// munmap has nothing to release on this platform.
+func munmap(b []byte) {}

@@ -23,3 +23,7 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 	}
 	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_PRIVATE)
 }
+
+// munmap releases a mapping made by mmapFile. Open calls it only for a
+// file it rejects, before any section has been handed out.
+func munmap(b []byte) { syscall.Munmap(b) }

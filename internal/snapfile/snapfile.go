@@ -194,12 +194,13 @@ func Write(path string, kind, kindVersion uint32, meta []uint64, sections [][]by
 // error; a verified File never lies about its contents.
 //
 // The returned sections stay valid for the life of the process: when
-// the file was mmapped the mapping is deliberately never unmapped,
-// because snapshot consumers (the engine's artifact cache) hand the
-// aliasing slices to long-lived immutable values whose lifetime no
-// single caller controls. The cost is one VMA per open mapping; the
-// pages themselves are file-backed, read-only and reclaimable by the
-// kernel, so resident memory tracks actual use, not mapping count.
+// a verified file was mmapped the mapping is deliberately never
+// unmapped, because snapshot consumers (the engine's artifact cache)
+// hand the aliasing slices to long-lived immutable values whose
+// lifetime no single caller controls. A rejected file's mapping is
+// released before Open returns. The cost is one VMA per open mapping;
+// the pages themselves are file-backed, read-only and reclaimable by
+// the kernel, so resident memory tracks actual use, not mapping count.
 func Open(path string, kind, kindVersion uint32) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -222,28 +223,38 @@ func Open(path string, kind, kindVersion uint32) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapfile: reading %s: %w", path, err)
 	}
+	// A rejected file must not keep its mapping: only a verified File's
+	// sections are handed out. The error is formatted first, since its
+	// arguments may alias the mapping.
+	reject := func(format string, args ...any) (*File, error) {
+		err := fmt.Errorf(format, args...)
+		if mapped {
+			munmap(data)
+		}
+		return nil, err
+	}
 
 	if string(data[:8]) != magic {
-		return nil, fmt.Errorf("snapfile: %s: bad magic %q (want %q)", path, data[:8], magic)
+		return reject("snapfile: %s: bad magic %q (want %q)", path, data[:8], magic)
 	}
 	if k := binary.LittleEndian.Uint32(data[8:]); k != kind {
-		return nil, fmt.Errorf("snapfile: %s: kind %#x, want %#x", path, k, kind)
+		return reject("snapfile: %s: kind %#x, want %#x", path, k, kind)
 	}
 	if v := binary.LittleEndian.Uint32(data[12:]); v != kindVersion {
-		return nil, fmt.Errorf("snapfile: %s: format version %d, want %d", path, v, kindVersion)
+		return reject("snapfile: %s: format version %d, want %d", path, v, kindVersion)
 	}
 	nMeta := int64(binary.LittleEndian.Uint32(data[16:]))
 	nSec := int64(binary.LittleEndian.Uint32(data[20:]))
 	if nMeta > maxMetaWords || nSec > maxSections {
-		return nil, fmt.Errorf("snapfile: %s: implausible header (%d meta words, %d sections)", path, nMeta, nSec)
+		return reject("snapfile: %s: implausible header (%d meta words, %d sections)", path, nMeta, nSec)
 	}
 	tableOff := int64(headerSize) + nMeta*8
 	payloadOff := tableOff + nSec*16
 	if payloadOff > size {
-		return nil, fmt.Errorf("snapfile: %s: header needs %d bytes but file has %d (truncated?)", path, payloadOff, size)
+		return reject("snapfile: %s: header needs %d bytes but file has %d (truncated?)", path, payloadOff, size)
 	}
 	if want, got := binary.LittleEndian.Uint64(data[24:]), mixSum64(checksumSeed, data[headerSize:]); want != got {
-		return nil, fmt.Errorf("snapfile: %s: checksum mismatch (stored %016x, computed %016x) — corrupt or tampered", path, want, got)
+		return reject("snapfile: %s: checksum mismatch (stored %016x, computed %016x) — corrupt or tampered", path, want, got)
 	}
 
 	out := &File{Meta: make([]uint64, nMeta), Mapped: mapped, sections: make([][]byte, nSec)}
@@ -254,7 +265,7 @@ func Open(path string, kind, kindVersion uint32) (*File, error) {
 		off := int64(binary.LittleEndian.Uint64(data[tableOff+16*i:]))
 		length := int64(binary.LittleEndian.Uint64(data[tableOff+16*i+8:]))
 		if off < payloadOff || off%8 != 0 || length < 0 || length > maxSectionSize || off+length > size {
-			return nil, fmt.Errorf("snapfile: %s: section %d [%d, %d+%d) out of bounds", path, i, off, off, length)
+			return reject("snapfile: %s: section %d [%d, %d+%d) out of bounds", path, i, off, off, length)
 		}
 		out.sections[i] = data[off : off+length : off+length]
 	}

@@ -151,3 +151,34 @@ func TestViewRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectedOpenReleasesMapping: Open maps a file before verifying
+// it, so every rejection must unmap again. 200 opens of a corrupt file
+// may not leave 200 mappings behind.
+func TestRejectedOpenReleasesMapping(t *testing.T) {
+	mapCount := func() int {
+		b, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Skipf("no /proc/self/maps: %v", err)
+		}
+		return strings.Count(string(b), "\n")
+	}
+	path := writeContainer(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x40 // payload byte: only the checksum catches it
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := mapCount()
+	for i := 0; i < 200; i++ {
+		if _, err := Open(path, testKind, testVersion); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("open %d of the corrupt file: err = %v, want a checksum mismatch", i, err)
+		}
+	}
+	if grew := mapCount() - before; grew >= 10 {
+		t.Fatalf("200 rejected opens grew the process's mappings by %d, want < 10", grew)
+	}
+}
