@@ -2,8 +2,7 @@
 //
 //   - the diversity term Div in the objective (paper Section 5),
 //   - random vs fixed hierarchy permutations (Section 6),
-//   - the number of hierarchies NH (the paper's quality/time dial),
-//   - matching vs label-propagation coarsening in the partitioner.
+//   - the number of hierarchies NH (the paper's quality/time dial).
 //
 // Each benchmark reports the achieved Coco quotient as a custom metric
 // so `go test -bench=Ablation` prints a small ablation study.
@@ -14,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/netgen"
-	"repro/internal/partition"
 )
 
 // ablationInstance prepares a fixed network + topology + initial
@@ -79,48 +77,6 @@ func BenchmarkAblationNH(b *testing.B) {
 	for _, nh := range []int{1, 5, 10, 25, 50} {
 		b.Run(fmt.Sprintf("NH%d", nh), func(b *testing.B) {
 			runTimerAblation(b, TimerOptions{NumHierarchies: nh})
-		})
-	}
-}
-
-// BenchmarkAblationCoarsening compares the partitioner's coarsening
-// schemes on a complex network (matching vs label-propagation clusters).
-func BenchmarkAblationCoarsening(b *testing.B) {
-	ga := netgen.Generate(netgen.RMAT, 6000, 30000, 23)
-	for _, scheme := range []partition.CoarseningScheme{partition.MatchingCoarsening, partition.ClusterCoarsening} {
-		b.Run(scheme.String(), func(b *testing.B) {
-			var cut int64
-			for i := 0; i < b.N; i++ {
-				res, err := partition.Partition(ga, partition.Config{
-					K: 256, Epsilon: 0.03, Seed: int64(i + 1), Coarsening: scheme,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cut = res.Cut
-			}
-			b.ReportMetric(float64(cut), "cut")
-		})
-	}
-}
-
-// BenchmarkAblationVCycles measures the partitioner's iterated
-// multilevel option: extra V-cycles trade time for cut quality.
-func BenchmarkAblationVCycles(b *testing.B) {
-	ga := netgen.Generate(netgen.BA, 5000, 20000, 27)
-	for _, vc := range []int{0, 1, 2} {
-		b.Run(fmt.Sprintf("V%d", vc), func(b *testing.B) {
-			var cut int64
-			for i := 0; i < b.N; i++ {
-				res, err := partition.Partition(ga, partition.Config{
-					K: 64, Epsilon: 0.03, Seed: int64(i + 1), VCycles: vc,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cut = res.Cut
-			}
-			b.ReportMetric(float64(cut), "cut")
 		})
 	}
 }

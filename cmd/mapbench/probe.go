@@ -56,18 +56,18 @@ type probeRun struct {
 }
 
 // runProbe runs one probe: it builds the job set from seed (0 means 1),
-// computes the reference with Engine.Run on a fresh engine with the
-// artifact cache off, runs the perturbation, and fails unless every
-// result set the perturbation produced equals the reference after
-// JobResult.StripPerf. A perturbation that changed the answer measured
-// nothing worth reporting.
+// computes the reference with Engine.Run on a fresh default engine,
+// runs the perturbation, and fails unless every result set the
+// perturbation produced equals the reference after JobResult.StripPerf.
+// A perturbation that changed the answer measured nothing worth
+// reporting.
 func runProbe(p probe, seed int64, workers int, perf *bench.RunPerf, progress func(string)) error {
 	if seed == 0 {
 		seed = 1
 	}
 	t0 := time.Now()
 	r := &probeRun{specs: p.jobs(seed), workers: workers, perf: perf}
-	ref := engine.New(engine.Options{Workers: 1, ArtifactCacheEntries: -1})
+	ref := engine.New(engine.Options{Workers: 1})
 	for _, spec := range r.specs {
 		res, err := ref.Run(spec)
 		if err != nil {
@@ -186,11 +186,11 @@ func wideJobs(seed int64) []engine.JobSpec {
 }
 
 // runWide times Engine.Run, which never widens, against a Wide
-// submission of the same job on one otherwise idle pool. The artifact
-// cache is off so the second run cannot be served the first run's
-// partition, the graph is generated up front so netgen time is
-// excluded, and an untimed NH-4 warm-up of each path fills the scratch
-// pools and helper tokens first.
+// submission of the same job, each on its own fresh and otherwise idle
+// engine. The graph is generated up front so netgen time is excluded,
+// and an untimed NH-4 warm-up with another seed fills each engine's
+// scratch pools and helper tokens without caching the timed job's
+// partition.
 func runWide(r *probeRun) (string, error) {
 	spec := r.specs[0]
 	gen, err := netgen.ByName(spec.Graph.Network)
@@ -198,38 +198,57 @@ func runWide(r *probeRun) (string, error) {
 		return "", err
 	}
 	spec.Graph.G = gen.Generate(spec.Graph.Scale, spec.Seed)
-	eng := engine.New(engine.Options{Workers: r.workers, QueueCap: 4, ArtifactCacheEntries: -1})
-	defer eng.Close()
-	seq := func(s engine.JobSpec) ([]engine.JobResult, error) {
-		res, err := eng.Run(s)
-		if err != nil {
-			return nil, err
-		}
-		return []engine.JobResult{*res}, nil
-	}
-	wide := func(s engine.JobSpec) ([]engine.JobResult, error) {
-		s.Wide = true
-		return runJobs(eng, []engine.JobSpec{s})
-	}
 	warmUp := spec
 	warmUp.NumHierarchies = 4
-	for _, run := range []func(engine.JobSpec) ([]engine.JobResult, error){seq, wide} {
-		if _, err := run(warmUp); err != nil {
-			return "", fmt.Errorf("warm-up: %w", err)
-		}
-	}
-	_, seqSec, err := r.measure("sequential run", func() ([]engine.JobResult, error) { return seq(spec) })
+	warmUp.Seed++
+	_, seqSec, err := r.timeFresh("sequential run", warmUp, spec, sequentialPass)
 	if err != nil {
 		return "", err
 	}
-	got, wideSec, err := r.measure("wide run", func() ([]engine.JobResult, error) { return wide(spec) })
+	got, wideSec, err := r.timeFresh("wide run", warmUp, spec, widePass)
 	if err != nil {
 		return "", err
 	}
 	r.perf.WideSpeedup = seqSec / wideSec
-	r.perf.WideWidth = got[0].Width
+	r.perf.WideWidth = got.Width
 	return fmt.Sprintf("seq %.2fs, wide %.2fs -> speedup %.2fx at width %d",
 		seqSec, wideSec, r.perf.WideSpeedup, r.perf.WideWidth), nil
+}
+
+// sequentialPass runs s with Engine.Run, which never widens.
+func sequentialPass(eng *engine.Engine, s engine.JobSpec) ([]engine.JobResult, error) {
+	res, err := eng.Run(s)
+	if err != nil {
+		return nil, err
+	}
+	return []engine.JobResult{*res}, nil
+}
+
+// widePass submits s as a Wide job and waits for it.
+func widePass(eng *engine.Engine, s engine.JobSpec) ([]engine.JobResult, error) {
+	s.Wide = true
+	return runJobs(eng, []engine.JobSpec{s})
+}
+
+// timeFresh runs warmUp untimed and then times spec, both through pass
+// on one fresh engine, and checks the timed result. A timed result
+// whose partition was served from the artifact cache timed no
+// partitioning, so it is an error.
+func (r *probeRun) timeFresh(run string, warmUp, spec engine.JobSpec,
+	pass func(*engine.Engine, engine.JobSpec) ([]engine.JobResult, error)) (engine.JobResult, float64, error) {
+	eng := engine.New(engine.Options{Workers: r.workers, QueueCap: 4})
+	defer eng.Close()
+	if _, err := pass(eng, warmUp); err != nil {
+		return engine.JobResult{}, 0, fmt.Errorf("%s: warm-up: %w", run, err)
+	}
+	got, sec, err := r.measure(run, func() ([]engine.JobResult, error) { return pass(eng, spec) })
+	if err != nil {
+		return engine.JobResult{}, 0, err
+	}
+	if got[0].PartitionReused {
+		return engine.JobResult{}, 0, fmt.Errorf("%s: the partition was served from the artifact cache, so the run timed no partitioning", run)
+	}
+	return got[0], sec, nil
 }
 
 // warmJobs is the smoke networks at half scale on two topologies, three
@@ -274,7 +293,7 @@ func runWarm(r *probeRun) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if st.Artifacts == nil || st.Artifacts.Disk == nil {
+		if st.Artifacts.Disk == nil {
 			return "", fmt.Errorf("%s: the engine has no disk tier", run)
 		}
 		disk[i] = *st.Artifacts.Disk

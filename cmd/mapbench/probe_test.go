@@ -86,3 +86,22 @@ func TestProbeRejectsDivergence(t *testing.T) {
 		}
 	}
 }
+
+// TestTimeFreshRejectsPartitionReuse: a warm-up with the timed job's
+// own seed caches the timed job's partition, so the timed run is served
+// from the cache and times no partitioning. The wide probe's timing
+// must refuse such a run.
+func TestTimeFreshRejectsPartitionReuse(t *testing.T) {
+	p := small(probe{
+		name: "reuse",
+		jobs: func(seed int64) []engine.JobSpec { return gnutellaJobs(seed)[:1] },
+		perturb: func(r *probeRun) (string, error) {
+			_, _, err := r.timeFresh("timed run", r.specs[0], r.specs[0], sequentialPass)
+			return "", err
+		},
+	})
+	err := runProbe(p, 1, 1, &bench.RunPerf{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "reuse probe: timed run: the partition was served from the artifact cache") {
+		t.Fatalf("error %v, want the timed run refused for its cached partition", err)
+	}
+}

@@ -125,8 +125,8 @@ type RunPerf struct {
 	BytesPerJob  float64 `json:"bytes_per_job"`
 	// ArtifactHitRate is the fraction of the run's artifact-cache
 	// lookups (materialized graphs + partitions) served from cache or
-	// coalesced onto an in-flight build; 0 when the engine runs without
-	// a cache. PartitionsComputed/PartitionsReused split the run's
+	// coalesced onto an in-flight build; 0 when the run made no lookup.
+	// PartitionsComputed/PartitionsReused split the run's
 	// partition stages into multilevel runs vs cache hits — in
 	// shared-partition mode the reused column dominates.
 	ArtifactHitRate    float64 `json:"artifact_hit_rate"`

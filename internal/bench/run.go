@@ -131,10 +131,7 @@ func Run(spec Spec, opt RunOptions) (*Results, error) {
 	// same way, giving the hit-rate column.
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
-	var artBefore engine.ArtifactStats
-	if a := eng.Artifacts(); a != nil {
-		artBefore = a.Stats()
-	}
+	artBefore := eng.Artifacts().Stats()
 
 	start := time.Now()
 	ids := make([]string, 0, total)
@@ -271,15 +268,13 @@ func Run(spec Spec, opt RunOptions) (*Results, error) {
 		PartitionsComputed: partComputed,
 		PartitionsReused:   partReused,
 	}
-	if a := eng.Artifacts(); a != nil {
-		artAfter := a.Stats()
-		delta := engine.ArtifactStats{
-			Hits:          artAfter.Hits - artBefore.Hits,
-			Misses:        artAfter.Misses - artBefore.Misses,
-			InflightWaits: artAfter.InflightWaits - artBefore.InflightWaits,
-		}
-		res.Perf.ArtifactHitRate = delta.HitRate()
+	artAfter := eng.Artifacts().Stats()
+	delta := engine.ArtifactStats{
+		Hits:          artAfter.Hits - artBefore.Hits,
+		Misses:        artAfter.Misses - artBefore.Misses,
+		InflightWaits: artAfter.InflightWaits - artBefore.InflightWaits,
 	}
+	res.Perf.ArtifactHitRate = delta.HitRate()
 	return res, nil
 }
 

@@ -63,30 +63,49 @@ func SharedPartitionSeed(base int64, rep int) int64 {
 	return base + int64(rep)*7919
 }
 
+// jobCount returns the number of jobs b expands to and the repetition
+// count behind it. It fails when b lacks a graph or a topology, or
+// expands to more than limit jobs; the product is bounded factor by
+// factor, so no batch can wrap it past the check.
+func (b BatchSpec) jobCount(limit int) (jobs, reps int, err error) {
+	if len(b.Graphs) == 0 || len(b.Topologies) == 0 {
+		return 0, 0, fmt.Errorf("engine: batch needs at least one graph and one topology")
+	}
+	reps = max(b.Reps, 1)
+	jobs = 1
+	for _, f := range []int{len(b.Graphs), len(b.Topologies), reps} {
+		if f > limit/jobs {
+			return 0, 0, fmt.Errorf("engine: batch of %d graphs × %d topologies × %d reps exceeds the retention window of %d jobs",
+				len(b.Graphs), len(b.Topologies), reps, limit)
+		}
+		jobs *= f
+	}
+	return jobs, reps, nil
+}
+
 // ExpandBatch expands a batch into its per-job specs without touching
 // an engine: the same fan-out order (graphs outermost, then topologies,
 // then reps) and the same seed algebra (BatchSeed, SharedPartitionSeed,
 // batch seed pinned into every graph spec) as SubmitBatch, but purely —
 // no graph is materialized and no topology is built. Fleet routers use
 // it to scatter a batch across replicas job by job, each routed by its
-// own SpecHash. SkipTooSmall is refused: deciding it needs the realized
-// vertex count, which only a materializing submission path has.
-func ExpandBatch(b BatchSpec) ([]JobSpec, error) {
-	if len(b.Graphs) == 0 || len(b.Topologies) == 0 {
-		return nil, fmt.Errorf("engine: batch needs at least one graph and one topology")
+// own SpecHash. A batch of more than limit jobs is refused before any
+// spec is built. SkipTooSmall is refused: deciding it needs the
+// realized vertex count, which only a materializing submission path
+// has.
+func ExpandBatch(b BatchSpec, limit int) ([]JobSpec, error) {
+	total, reps, err := b.jobCount(limit)
+	if err != nil {
+		return nil, err
 	}
 	if b.SkipTooSmall {
 		return nil, fmt.Errorf("engine: skip_too_small needs materialized graph sizes and cannot be expanded purely")
-	}
-	reps := b.Reps
-	if reps <= 0 {
-		reps = 1
 	}
 	seed := b.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	specs := make([]JobSpec, 0, len(b.Graphs)*len(b.Topologies)*reps)
+	specs := make([]JobSpec, 0, total)
 	for _, gs := range b.Graphs {
 		if gs.Seed == 0 {
 			gs.Seed = seed
@@ -123,18 +142,12 @@ func ExpandBatch(b BatchSpec) ([]JobSpec, error) {
 // topologies, then reps). Jobs skipped by SkipTooSmall contribute an
 // empty ID at their position, so the slice shape stays rectangular.
 func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
-	if len(b.Graphs) == 0 || len(b.Topologies) == 0 {
-		return nil, fmt.Errorf("engine: batch needs at least one graph and one topology")
-	}
-	reps := b.Reps
-	if reps <= 0 {
-		reps = 1
-	}
 	// A batch larger than the retention window could have its earliest
 	// finished jobs evicted before RunBatch collects them; reject it
 	// outright instead of silently losing results.
-	if total := len(b.Graphs) * len(b.Topologies) * reps; total > e.opt.RetainJobs {
-		return nil, fmt.Errorf("engine: batch expands to %d jobs, exceeding the retention window of %d", total, e.opt.RetainJobs)
+	_, reps, err := b.jobCount(e.opt.RetainJobs)
+	if err != nil {
+		return nil, err
 	}
 	seed := b.Seed
 	if seed == 0 {
@@ -146,13 +159,12 @@ func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 		// repetitions vary only the pipeline seed, never the graph (a
 		// netgen spec without an explicit Seed would otherwise generate a
 		// different random graph per rep). Pinning the batch seed into the
-		// spec fixes the instance; *how* it is shared then depends on the
-		// engine. With the artifact cache, named netgen specs are left
+		// spec fixes the instance. Named netgen specs are left
 		// unmaterialized — the workers' first jobs coalesce on one cached
 		// generation under the spec's canonical key, so submission stays
-		// fast even for paper-scale graphs. Without the cache, with
-		// inline/pre-built graphs, or under SkipTooSmall (which must see
-		// the realized size) the graph is materialized at submit time.
+		// fast even for paper-scale graphs. Inline graphs, and every graph
+		// under SkipTooSmall (which must see the realized size), are
+		// materialized at submit time.
 		if gs.Seed == 0 {
 			gs.Seed = seed
 		}
@@ -169,9 +181,9 @@ func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 		// SkipTooSmall needs the realized vertex count (generation keeps
 		// only the largest component, so a predicted size could admit
 		// pairs that then fail instead of skipping), so it forces eager
-		// materialization — still through the artifact cache when one
-		// exists, so the instance is shared rather than re-pinned.
-		lazy := e.artifacts != nil && gs.G == nil && gs.Network != "" && !b.SkipTooSmall
+		// materialization — still through the artifact cache, so the
+		// instance is shared rather than re-pinned.
+		lazy := gs.G == nil && gs.Network != "" && !b.SkipTooSmall
 		if lazy {
 			// Deferring generation must not defer validation: a typo'd
 			// network name should fail the submission, not expand into a
@@ -183,7 +195,7 @@ func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 		if !lazy && gs.G == nil {
 			var ga *graph.Graph
 			var err error
-			if key := gs.artifactKey(seed); e.artifacts != nil && key != "" {
+			if key := gs.artifactKey(seed); key != "" {
 				ga, err = e.artifacts.Graph(key, func() (*graph.Graph, error) { return gs.materialize(seed) })
 			} else {
 				ga, err = gs.materialize(seed)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestExpandBatchMatchesSubmitBatch(t *testing.T) {
 		NumHierarchies:  3,
 		SharedPartition: true,
 	}
-	specs, err := ExpandBatch(batch)
+	specs, err := ExpandBatch(batch, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,18 +117,18 @@ func TestExpandBatchMatchesSubmitBatch(t *testing.T) {
 }
 
 func TestExpandBatchRejections(t *testing.T) {
-	if _, err := ExpandBatch(BatchSpec{Topologies: []string{"grid:4x4"}}); err == nil {
+	if _, err := ExpandBatch(BatchSpec{Topologies: []string{"grid:4x4"}}, math.MaxInt); err == nil {
 		t.Error("empty graph list accepted")
 	}
 	if _, err := ExpandBatch(BatchSpec{
 		Graphs: []GraphSpec{{Network: "p2p-Gnutella"}}, Topologies: []string{"grid:4x4"},
 		SkipTooSmall: true,
-	}); err == nil {
+	}, math.MaxInt); err == nil {
 		t.Error("SkipTooSmall accepted by the pure expansion")
 	}
 	if _, err := ExpandBatch(BatchSpec{
 		Graphs: []GraphSpec{{Network: "no-such-net"}}, Topologies: []string{"grid:4x4"},
-	}); err == nil {
+	}, math.MaxInt); err == nil {
 		t.Error("unknown network accepted")
 	}
 }

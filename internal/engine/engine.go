@@ -38,23 +38,15 @@ type Options struct {
 	// engine's memory stays bounded under sustained traffic without
 	// dropping live work.
 	RetainJobs int
-	// ArtifactCacheEntries and ArtifactCacheBytes bound the engine's
-	// content-addressed artifact cache (materialized netgen graphs and
-	// multilevel partitions, shared across jobs with single-flight
-	// coalescing). Zero selects the defaults (1024 entries, 256 MiB);
-	// a negative ArtifactCacheEntries disables the cache entirely, so
-	// every job recomputes every stage (the pre-PR-5 behavior).
-	ArtifactCacheEntries int
-	ArtifactCacheBytes   int64
 	// CacheDir, when non-empty, attaches a persistent disk tier to the
-	// artifact cache: memory evictions spill to content-addressed
-	// snapshot files under this directory, misses consult it before
-	// recomputing, and a restarted engine pointed at the same directory
-	// warm-starts from the previous process's artifacts. Multiple
-	// engines may share one directory (writes are atomic and artifacts
-	// deterministic). If the directory cannot be created the engine
-	// runs memory-only and reports the failure via Stats. Ignored when
-	// the artifact cache itself is disabled.
+	// engine's artifact cache (see Engine.Artifacts): memory evictions
+	// spill to content-addressed snapshot files under this directory,
+	// misses consult it before recomputing, and a restarted engine
+	// pointed at the same directory warm-starts from the previous
+	// process's artifacts. Multiple engines may share one directory
+	// (writes are atomic and artifacts deterministic). If the directory
+	// cannot be created the engine runs memory-only and reports the
+	// failure via Stats.
 	CacheDir string
 	// DiskCacheBytes bounds the cache directory's total snapshot bytes
 	// (LRU sweep by file mtime). Zero selects the 2 GiB default.
@@ -129,7 +121,7 @@ func (r *jobRecord) snapshot() Job {
 type Engine struct {
 	opt       Options
 	cache     *TopologyCache
-	artifacts *ArtifactCache // nil when disabled via Options
+	artifacts *ArtifactCache
 
 	mu      sync.Mutex
 	jobs    map[string]*jobRecord
@@ -201,6 +193,7 @@ func New(opt Options) *Engine {
 	e := &Engine{
 		opt:       opt,
 		cache:     NewTopologyCache(),
+		artifacts: NewArtifactCache(defaultArtifactEntries, defaultArtifactBytes),
 		jobs:      make(map[string]*jobRecord),
 		stageSecs: make(map[string]float64),
 		dedup:     make(map[string]json.RawMessage),
@@ -232,18 +225,15 @@ func New(opt Options) *Engine {
 	for i := 0; i < helpers; i++ {
 		e.wideTokens <- struct{}{}
 	}
-	if opt.ArtifactCacheEntries >= 0 {
-		e.artifacts = NewArtifactCache(opt.ArtifactCacheEntries, opt.ArtifactCacheBytes)
-		if opt.CacheDir != "" {
-			tier, err := newDiskTier(opt.CacheDir, opt.DiskCacheBytes)
-			if err != nil {
-				// New has no error return; keep the engine serving from
-				// memory and surface the failure through Stats (mapd also
-				// pre-validates the directory so operators fail fast).
-				tier = disabledDiskTier(err)
-			}
-			e.artifacts.disk = tier
+	if opt.CacheDir != "" {
+		tier, err := newDiskTier(opt.CacheDir, opt.DiskCacheBytes)
+		if err != nil {
+			// New has no error return; keep the engine serving from
+			// memory and surface the failure through Stats (mapd also
+			// pre-validates the directory so operators fail fast).
+			tier = disabledDiskTier(err)
 		}
+		e.artifacts.disk = tier
 	}
 	e.wg.Add(opt.Workers)
 	for i := 0; i < opt.Workers; i++ {
@@ -276,8 +266,10 @@ func (e *Engine) QueueDepth() int { return len(e.pending) }
 // Cache exposes the engine's topology cache (shared, read-mostly).
 func (e *Engine) Cache() *TopologyCache { return e.cache }
 
-// Artifacts exposes the engine's content-addressed artifact cache, or
-// nil when it was disabled via Options.
+// Artifacts exposes the engine's content-addressed artifact cache:
+// materialized netgen and ingested graphs and multilevel partitions,
+// shared across jobs with single-flight coalescing and bounded to 1024
+// entries and 256 MiB.
 func (e *Engine) Artifacts() *ArtifactCache { return e.artifacts }
 
 // Topology resolves a spec through the cache, building it on first use.
@@ -471,8 +463,7 @@ type Stats struct {
 	WideGrants int64 `json:"wide_grants,omitempty"`
 	// Artifacts snapshots the content-addressed artifact cache — how
 	// many materialized graphs and partitions are resident and how often
-	// jobs were served from it instead of recomputing. Nil when the
-	// cache is disabled.
+	// jobs were served from it instead of recomputing. Always set.
 	Artifacts *ArtifactStats `json:"artifacts,omitempty"`
 	// Ingest snapshots the ingest registry and its counters. Nil until
 	// the first ingest, so engines that never load real-world graphs
@@ -509,10 +500,8 @@ func (e *Engine) Stats() Stats {
 		WideJobs:     e.wideJobs.Load(),
 		WideGrants:   e.wideGrants.Load(),
 	}
-	if e.artifacts != nil {
-		as := e.artifacts.Stats()
-		st.Artifacts = &as
-	}
+	as := e.artifacts.Stats()
+	st.Artifacts = &as
 	if is, active := e.IngestSnapshot(); active {
 		st.Ingest = &is
 	}

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/graph"
@@ -49,9 +48,6 @@ type ingestRecord struct {
 	info GraphInfo
 	path string         // non-empty for "file:" refs: where to re-ingest from
 	opt  ingest.Options // options of the original load, reused on re-ingest
-	// pinned holds the graph directly when the engine runs without an
-	// artifact cache (debug mode): there is no other place to keep it.
-	pinned *graph.Graph
 }
 
 // IngestStats counts the engine's ingest activity, served by mapd's
@@ -77,7 +73,7 @@ func graphKeyOf(ref string) string { return "graph:" + ref }
 
 // register publishes a load under ref (overwriting any previous record:
 // an explicit re-ingest of a changed file updates the registration).
-func (e *Engine) register(ref, path, source string, res *ingest.Result, opt ingest.Options, pin bool) GraphInfo {
+func (e *Engine) register(ref, path, source string, res *ingest.Result, opt ingest.Options) GraphInfo {
 	info := GraphInfo{
 		Ref:            ref,
 		Fingerprint:    res.Fingerprint.String(),
@@ -89,9 +85,6 @@ func (e *Engine) register(ref, path, source string, res *ingest.Result, opt inge
 		Loaded:         time.Now(),
 	}
 	rec := &ingestRecord{info: info, path: path, opt: opt}
-	if pin {
-		rec.pinned = res.Graph
-	}
 	e.ingestMu.Lock()
 	if e.ingests == nil {
 		e.ingests = make(map[string]*ingestRecord)
@@ -122,9 +115,6 @@ func (e *Engine) ingestDedup() {
 // existing registration without touching the file.
 func (e *Engine) IngestPath(path string, opt ingest.Options) (GraphInfo, error) {
 	ref := "file:" + path
-	if e.artifacts == nil {
-		return e.ingestPathUncached(ref, path, opt)
-	}
 	var loaded *ingest.Result
 	build := func() (*graph.Graph, error) {
 		res, err := ingest.LoadFile(path, opt)
@@ -133,7 +123,7 @@ func (e *Engine) IngestPath(path string, opt ingest.Options) (GraphInfo, error) 
 			return nil, err
 		}
 		loaded = res
-		e.register(ref, path, path, res, opt, false)
+		e.register(ref, path, path, res, opt)
 		return res.Graph, nil
 	}
 	_, err := e.artifacts.Graph(graphKeyOf(ref), build)
@@ -159,22 +149,6 @@ func (e *Engine) IngestPath(path string, opt ingest.Options) (GraphInfo, error) 
 		return GraphInfo{}, fmt.Errorf("engine: ingest of %s lost its registration", path)
 	}
 	return rec.info, nil
-}
-
-func (e *Engine) ingestPathUncached(ref, path string, opt ingest.Options) (GraphInfo, error) {
-	e.ingestMu.Lock()
-	rec, ok := e.ingests[ref]
-	e.ingestMu.Unlock()
-	if ok {
-		e.ingestDedup()
-		return rec.info, nil
-	}
-	res, err := ingest.LoadFile(path, opt)
-	if err != nil {
-		e.ingestError()
-		return GraphInfo{}, err
-	}
-	return e.register(ref, path, path, res, opt, true), nil
 }
 
 // IngestBytes loads an uploaded graph (mapd's POST /v1/graphs body) and
@@ -217,24 +191,22 @@ func (e *Engine) registerUpload(name string, res *ingest.Result, opt ingest.Opti
 	existing, dup := e.ingests[ref]
 	e.ingestMu.Unlock()
 
-	if e.artifacts != nil {
-		// Insert (or refresh after eviction) the loaded graph. On a
-		// repeat upload the entry is already resident and this is a plain
-		// cache hit; a cached error under the key (an evicted upload that
-		// a job tried to use) is healed by the fresh bytes.
-		insert := func() (*graph.Graph, error) { return res.Graph, nil }
+	// Insert (or refresh after eviction) the loaded graph. On a repeat
+	// upload the entry is already resident and this is a plain cache
+	// hit; a cached error under the key (an evicted upload that a job
+	// tried to use) is healed by the fresh bytes.
+	insert := func() (*graph.Graph, error) { return res.Graph, nil }
+	if _, err := e.artifacts.Graph(graphKeyOf(ref), insert); err != nil {
+		e.artifacts.Invalidate(graphKeyOf(ref))
 		if _, err := e.artifacts.Graph(graphKeyOf(ref), insert); err != nil {
-			e.artifacts.Invalidate(graphKeyOf(ref))
-			if _, err := e.artifacts.Graph(graphKeyOf(ref), insert); err != nil {
-				return GraphInfo{}, false, err
-			}
+			return GraphInfo{}, false, err
 		}
 	}
 	if dup {
 		e.ingestDedup()
 		return existing.info, true, nil
 	}
-	return e.register(ref, "", name, res, opt, e.artifacts == nil), false, nil
+	return e.register(ref, "", name, res, opt), false, nil
 }
 
 // GraphByRef resolves an ingested reference to its graph. "file:"
@@ -247,12 +219,6 @@ func (e *Engine) GraphByRef(ref string) (*graph.Graph, error) {
 	e.ingestMu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown graph ref %q (ingest it first; see /v1/graphs)", ref)
-	}
-	if rec.pinned != nil {
-		return rec.pinned, nil
-	}
-	if e.artifacts == nil {
-		return nil, fmt.Errorf("engine: graph ref %q is registered but not resident", ref)
 	}
 	return e.artifacts.Graph(graphKeyOf(ref), func() (*graph.Graph, error) {
 		if rec.path == "" {
@@ -308,10 +274,4 @@ func (e *Engine) IngestSnapshot() (IngestStats, bool) {
 	st.Registered = len(e.ingests)
 	active := st.Ingested != 0 || st.DedupHits != 0 || st.Errors != 0 || st.Registered != 0
 	return st, active
-}
-
-// validRef reports whether ref has a known scheme. Used by callers that
-// want to reject obviously malformed refs before queueing a job.
-func validRef(ref string) bool {
-	return strings.HasPrefix(ref, "file:") || strings.HasPrefix(ref, "upload:")
 }

@@ -84,8 +84,9 @@ func TestIngestBytesDedupAndEvictionHealing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A one-entry artifact cache forces eviction on every insert.
-	e := New(Options{Workers: 1, ArtifactCacheEntries: 1})
+	e := New(Options{Workers: 1})
 	defer e.Close()
+	e.artifacts = NewArtifactCache(1, 0)
 
 	info, dup, err := e.IngestBytes("ca-grqc.txt", data, ingest.Options{})
 	if err != nil {
@@ -139,8 +140,9 @@ func TestIngestBytesDedupAndEvictionHealing(t *testing.T) {
 }
 
 func TestIngestFileReingestAfterEviction(t *testing.T) {
-	e := New(Options{Workers: 1, ArtifactCacheEntries: 1})
+	e := New(Options{Workers: 1})
 	defer e.Close()
+	e.artifacts = NewArtifactCache(1, 0)
 	info, err := e.IngestPath(grqcFixture, ingest.Options{})
 	if err != nil {
 		t.Fatal(err)

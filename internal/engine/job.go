@@ -440,13 +440,13 @@ func moreThanOne(flags ...bool) bool {
 // step begins and receives the step's duration after it ends, so
 // callers can stream progress. ws, when non-nil, carries the calling
 // worker's reusable scratch arenas (base stage + TIMER); without it,
-// every stage borrows from its package pool. arts, when non-nil,
-// memoizes whole stages across jobs: netgen graph materialization by
-// canonical spec key and multilevel partitions by (graph fingerprint,
-// K, ε, partition seed), with single-flight coalescing of concurrent
-// identical requests. spawn, when non-nil, is the wide-mode helper hook
-// handed to the DRB, partition and TIMER stages (see wide.go); results
-// are byte-identical with or without it.
+// every stage borrows from its package pool. arts memoizes whole stages
+// across jobs: netgen graph materialization by canonical spec key and
+// multilevel partitions by (graph fingerprint, K, ε, partition seed),
+// with single-flight coalescing of concurrent identical requests.
+// spawn, when non-nil, is the wide-mode helper hook handed to the DRB,
+// partition and TIMER stages (see wide.go); results are byte-identical
+// with or without it.
 func runPipeline(spec JobSpec, resolve func(string) (*topology.Topology, error),
 	resolveRef func(string) (*graph.Graph, error),
 	stage func(name string, seconds float64), ws *workerScratch, arts *ArtifactCache,
@@ -489,7 +489,7 @@ func runPipeline(spec JobSpec, resolve func(string) (*topology.Topology, error),
 			ga, err = resolveRef(ref)
 			return err
 		}
-		if arts != nil && graphKey != "" {
+		if graphKey != "" {
 			ga, err = arts.Graph(graphKey, func() (*graph.Graph, error) {
 				return spec.Graph.materialize(spec.Seed)
 			})
@@ -553,24 +553,20 @@ func runPipeline(spec JobSpec, resolve func(string) (*topology.Topology, error),
 			if baseSc != nil {
 				cfg.Scratch = baseSc.Partition
 			}
-			var err error
-			if arts != nil {
-				// Content-address the partition by what determines it: the
-				// graph (canonical generation key, or CSR fingerprint for
-				// caller-supplied graphs), block count, imbalance and seed.
-				// Partition is deterministic in these, so a cached result is
-				// byte-identical to a recomputation.
-				gkey := graphKey
-				if gkey == "" {
-					gkey = "fp:" + arts.fingerprintOf(ga).String()
-				}
-				key := fmt.Sprintf("part:%s|k=%d|eps=%g|seed=%d", gkey, cfg.K, cfg.Epsilon, pseed)
-				part, res.PartitionReused, err = arts.Partition(key, func() (*partition.Result, error) {
-					return partition.Partition(ga, cfg)
-				})
-			} else {
-				part, err = partition.Partition(ga, cfg)
+			// Content-address the partition by what determines it: the
+			// graph (canonical generation key, or CSR fingerprint for
+			// caller-supplied graphs), block count, imbalance and seed.
+			// Partition is deterministic in these, so a cached result is
+			// byte-identical to a recomputation.
+			gkey := graphKey
+			if gkey == "" {
+				gkey = "fp:" + arts.fingerprintOf(ga).String()
 			}
+			key := fmt.Sprintf("part:%s|k=%d|eps=%g|seed=%d", gkey, cfg.K, cfg.Epsilon, pseed)
+			var err error
+			part, res.PartitionReused, err = arts.Partition(key, func() (*partition.Result, error) {
+				return partition.Partition(ga, cfg)
+			})
 			res.BaseSeconds = time.Since(t0).Seconds()
 			return err
 		}); err != nil {

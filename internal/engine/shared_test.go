@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -10,8 +11,8 @@ import (
 // case on one (graph, topology, rep) — in SharedPartition mode and
 // checks (a) all partition-based cases of a rep really computed on one
 // partition (the artifact cache reports exactly one build per rep),
-// (b) the DRB case is untouched, and (c) the default mode stays
-// byte-identical to an engine with the cache disabled.
+// (b) the DRB case is untouched, and (c) in the default mode a rerun
+// served from the cache is byte-identical to a fresh engine's run.
 func TestSharedPartitionBatch(t *testing.T) {
 	batch := func(shared bool) BatchSpec {
 		return BatchSpec{
@@ -85,29 +86,29 @@ func TestSharedPartitionBatch(t *testing.T) {
 		}
 	}
 
-	// Default mode must not care whether the cache exists: byte-identical
-	// quality with the cache on and off.
-	eOn := New(Options{Workers: 2})
-	defer eOn.Close()
-	eOff := New(Options{Workers: 2, ArtifactCacheEntries: -1})
-	defer eOff.Close()
-	if eOff.Artifacts() != nil {
-		t.Fatal("negative ArtifactCacheEntries did not disable the cache")
-	}
-	on, off := runCases(eOn, false), runCases(eOff, false)
-	for c, rs := range on {
+	// Default mode must not care whether a stage was served from the
+	// cache: a rerun on a warm engine, whose partitions all come from the
+	// cache, is byte-identical to a fresh engine's run.
+	eFresh := New(Options{Workers: 2})
+	defer eFresh.Close()
+	fresh := runCases(eFresh, false)
+	rerun := runCases(eFresh, false)
+	for c, rs := range fresh {
 		for rep, r := range rs {
-			o := off[c][rep]
-			if r.CocoBefore != o.CocoBefore || r.CocoAfter != o.CocoAfter ||
-				r.CutBefore != o.CutBefore || r.CutAfter != o.CutAfter {
-				t.Errorf("default mode diverges with cache on/off: %s rep %d: %+v vs %+v", c, rep, r, o)
+			o := rerun[c][rep]
+			if r.PartitionReused || c != "SCOTCH" && !o.PartitionReused {
+				t.Errorf("%s rep %d: partition reused %v on the fresh run, %v on the rerun; want false, true",
+					c, rep, r.PartitionReused, o.PartitionReused)
+			}
+			if got, want := o.StripPerf(), r.StripPerf(); !reflect.DeepEqual(got, want) {
+				t.Errorf("cached rerun diverges from the fresh run: %s rep %d:\n%+v\nvs\n%+v", c, rep, got, want)
 			}
 		}
 	}
 	// In default mode the per-case seed spreading must keep partitions
 	// distinct (cut_before almost surely differs across cases).
-	if on["IDENTITY"][0].CutBefore == on["GREEDYALLC"][0].CutBefore &&
-		on["IDENTITY"][1].CutBefore == on["GREEDYALLC"][1].CutBefore {
+	if fresh["IDENTITY"][0].CutBefore == fresh["GREEDYALLC"][0].CutBefore &&
+		fresh["IDENTITY"][1].CutBefore == fresh["GREEDYALLC"][1].CutBefore {
 		t.Error("default mode looks like it shared partitions across cases")
 	}
 }

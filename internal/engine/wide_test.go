@@ -21,14 +21,20 @@ func TestWideJobEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second matrix")
 	}
-	// The artifact cache is disabled so the wide run cannot be served
-	// the sequential run's partition: both runs must really compute.
-	e := New(Options{Workers: 4, ArtifactCacheEntries: -1})
+	// The two runs use two engines, so the wide run cannot be served the
+	// sequential run's partition from the artifact cache: both really
+	// compute.
+	ref := New(Options{Workers: 1})
+	defer ref.Close()
+	e := New(Options{Workers: 4})
 	defer e.Close()
 
-	info, err := e.IngestPath("../ingest/testdata/ca-grqc-excerpt.txt", ingest.Options{})
-	if err != nil {
-		t.Fatalf("ingest fixture: %v", err)
+	var info GraphInfo
+	for _, eng := range []*Engine{ref, e} {
+		var err error
+		if info, err = eng.IngestPath("../ingest/testdata/ca-grqc-excerpt.txt", ingest.Options{}); err != nil {
+			t.Fatalf("ingest fixture: %v", err)
+		}
 	}
 
 	inline := GraphSpec{N: 60, Edges: ringEdges(60)}
@@ -41,7 +47,7 @@ func TestWideJobEquivalence(t *testing.T) {
 		{Graph: GraphSpec{Ref: info.Ref}, Topology: "grid:8x8", Case: C2Identity, NumHierarchies: 16, Seed: 5},
 	}
 	for _, spec := range specs {
-		seq, err := e.Run(spec)
+		seq, err := ref.Run(spec)
 		if err != nil {
 			t.Fatalf("%s/%s sequential: %v", spec.Topology, spec.Case, err)
 		}
@@ -57,6 +63,9 @@ func TestWideJobEquivalence(t *testing.T) {
 		}
 		if fin.Status != StatusDone {
 			t.Fatalf("%s/%s wide job failed: %s", spec.Topology, spec.Case, fin.Error)
+		}
+		if fin.Result.PartitionReused {
+			t.Fatalf("%s/%s: the wide job's partition came from the cache", spec.Topology, spec.Case)
 		}
 		if got, want := stripPerfFields(fin.Result), stripPerfFields(seq); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s/%s: wide result differs from sequential:\nwide: %+v\nseq:  %+v",

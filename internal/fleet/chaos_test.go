@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -143,7 +144,7 @@ func TestFleetChaosKillMidBatch(t *testing.T) {
 
 	// The victim is the home replica of the batch's first spec, so the
 	// kill is guaranteed to orphan at least one placement.
-	specs, err := engine.ExpandBatch(batch)
+	specs, err := engine.ExpandBatch(batch, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}

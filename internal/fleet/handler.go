@@ -119,7 +119,9 @@ func (rt *Router) submitBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding batch spec: %w", err))
 		return
 	}
-	specs, err := engine.ExpandBatch(batch)
+	// The routed-job table keeps only the newest RetainJobs IDs, so a
+	// larger batch would lose its first jobs before the client polls.
+	specs, err := engine.ExpandBatch(batch, rt.cfg.RetainJobs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -580,6 +581,68 @@ func TestRouterBatchPartialFailureKeepsRetryAfter(t *testing.T) {
 	}
 	if len(out.JobIDs) != 1 {
 		t.Errorf("job_ids %q, want the one placed job", out.JobIDs)
+	}
+}
+
+// TestRouterRefusesBatchBeyondRetention: the router forgets all but
+// its newest RetainJobs job IDs, so it refuses a larger batch with 400
+// before placing any of its jobs, including a batch whose job count
+// wraps an int64 (4 graphs × 2^62 reps). The replica accepts every job
+// at once, so only the router's own check can refuse.
+func TestRouterRefusesBatchBeyondRetention(t *testing.T) {
+	var mu sync.Mutex
+	posts := 0
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			mu.Lock()
+			posts++
+			id := fmt.Sprintf("job-%06d", posts)
+			mu.Unlock()
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprintf(w, `{"id": %q, "status": "queued"}`, id)
+			return
+		}
+		io.WriteString(w, `{}`) // /readyz and /healthz: ready
+	}))
+	t.Cleanup(replica.Close)
+	rt, err := fleet.NewRouter(fleet.Config{
+		Replicas:      []string{replica.URL},
+		ProbeInterval: 30 * time.Millisecond,
+		RetainJobs:    4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		rt.Close()
+	})
+	waitUsable(t, rt, 1)
+
+	gs := engine.GraphSpec{Network: "p2p-Gnutella", Scale: 0.05, Seed: 11}
+	for name, batch := range map[string]engine.BatchSpec{
+		"retain+1":         {Graphs: []engine.GraphSpec{gs}, Topologies: []string{"grid:4x4"}, Reps: 5},
+		"wrapping product": {Graphs: []engine.GraphSpec{gs, gs, gs, gs}, Topologies: []string{"grid:4x4"}, Reps: 1 << 62},
+	} {
+		body, err := json.Marshal(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/v1/batches", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "retention window of 4 jobs") {
+			t.Errorf("%s: status %d %s, want 400 naming the retention window", name, resp.StatusCode, msg)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if posts != 0 {
+		t.Errorf("the router placed %d jobs of refused batches", posts)
 	}
 }
 

@@ -40,8 +40,8 @@ func FromCSR(xadj []int32, adj []int32, ew []int64, vw []int64) (*Graph, error) 
 		}
 		g.tvw += vw[v]
 		lo, hi := xadj[v], xadj[v+1]
-		if lo > hi {
-			return nil, fmt.Errorf("graph: xadj not monotone at %d", v)
+		if lo > hi || int(hi) > len(adj) {
+			return nil, fmt.Errorf("graph: xadj not monotone within [0, %d] at %d", len(adj), v)
 		}
 		prev := int32(-1)
 		for i := lo; i < hi; i++ {

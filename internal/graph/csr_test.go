@@ -56,6 +56,11 @@ func TestFromCSRRejectsMalformed(t *testing.T) {
 			a[1], a[2] = a[2], a[1]
 			return x, a, e, v
 		}},
+		{"offset past adjacency", func(x, a []int32, e, v []int64) ([]int32, []int32, []int64, []int64) {
+			// Row 0 runs to offset 100 over the two half-edges there are;
+			// its in-range, increasing prefix must not be read past.
+			return []int32{0, 100, 2, 2}, []int32{1, 2}, []int64{1, 1}, []int64{1, 1, 1}
+		}},
 		{"non-positive edge weight", func(x, a []int32, e, v []int64) ([]int32, []int32, []int64, []int64) {
 			e[0] = 0
 			return x, a, e, v

@@ -26,11 +26,12 @@ import (
 //
 // Verification on open is layered: snapfile checks container magic,
 // version and payload checksum; this codec then checks every section
-// length against the header counts and finally recomputes the CSR
-// fingerprint and compares it to the stored one. A snapshot that opens
-// successfully is therefore byte-equivalent to the graph that was
-// written — corrupt, truncated, stale-version and mislabeled files all
-// fail closed.
+// length against the header counts, validates the CSR as FromCSR
+// does, compares its weight totals to the header's and finally
+// recomputes the CSR fingerprint and compares it to the stored one. A
+// snapshot that opens successfully is therefore byte-equivalent to the
+// graph that was written — corrupt, truncated, stale-version and
+// mislabeled files all fail closed.
 
 const (
 	// snapshotKind tags graph CSR snapshots inside the snapfile
@@ -72,7 +73,8 @@ func (g *Graph) WriteSnapshot(path, note string) error {
 //
 // The snapshot is verified before anything is returned: container
 // checksum (via snapfile), section shapes against the header counts,
-// and a recomputed CSR fingerprint against the stored one. Any
+// the CSR itself (FromCSR), weight totals against the header, and a
+// recomputed CSR fingerprint against the stored one. Any
 // mismatch — truncation, a flipped byte, a wrong format version, a
 // snapshot of a different graph under this path — is an error, never a
 // silently wrong graph.
@@ -110,11 +112,13 @@ func OpenSnapshot(path string) (*Graph, string, error) {
 		return nil, "", fmt.Errorf("graph: snapshot %s: section shapes (%d,%d,%d,%d) disagree with header n=%d m=%d",
 			path, len(xadj), len(adj), len(ew), len(vw), n, m)
 	}
-	g := &Graph{
-		xadj: xadj, adj: adj, ew: ew, vw: vw,
-		m:   int(m),
-		tvw: int64(f.Meta[2]),
-		tew: int64(f.Meta[3]),
+	g, err := FromCSR(xadj, adj, ew, vw)
+	if err != nil {
+		return nil, "", fmt.Errorf("graph: snapshot %s: %w", path, err)
+	}
+	if uint64(g.tvw) != f.Meta[2] || uint64(g.tew) != f.Meta[3] {
+		return nil, "", fmt.Errorf("graph: snapshot %s: weight totals (%d, %d) disagree with header (%d, %d)",
+			path, g.tvw, g.tew, int64(f.Meta[2]), int64(f.Meta[3]))
 	}
 	want := Fingerprint{Hi: f.Meta[4], Lo: f.Meta[5]}
 	if got := g.Fingerprint(); got != want {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -177,6 +178,92 @@ func TestSnapshotRejectsShapeMismatch(t *testing.T) {
 	if _, _, err := OpenSnapshot(path); err == nil {
 		t.Fatal("section/header shape mismatch went undetected")
 	}
+}
+
+// csrTotals sums the vertex weights and, as FromCSR does, the weights
+// of half-edges (v, u) with u > v, skipping whatever a malformed CSR
+// puts out of range.
+func csrTotals(xadj, adj []int32, ew, vw []int64) (tvw, tew int64) {
+	for _, w := range vw {
+		tvw += w
+	}
+	for v := 0; v+1 < len(xadj); v++ {
+		for i := max(int(xadj[v]), 0); i < int(xadj[v+1]) && i < len(adj) && i < len(ew); i++ {
+			if int(adj[i]) > v {
+				tew += ew[i]
+			}
+		}
+	}
+	return tvw, tew
+}
+
+// FuzzOpenGraphSnapshot writes fuzzer-chosen CSR arrays through
+// snapfile.Write with the header a writer would give them: their
+// vertex and edge counts, their weight totals plus fuzzed offsets, and
+// their true fingerprint. Every input therefore passes the container
+// checksum and the fingerprint compare and reaches OpenSnapshot's own
+// checks. It must never panic, and every graph it accepts must be
+// walkable: every neighbor of every vertex in [0, N), with the header's
+// totals and the note it was given.
+func FuzzOpenGraphSnapshot(f *testing.F) {
+	i32 := func(xs ...int32) []byte { return snapfile.AsBytes32(xs) }
+	i64 := func(xs ...int64) []byte { return snapfile.AsBytes64(xs) }
+	g := FromEdgeList(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
+	f.Add(i32(g.xadj...), i32(g.adj...), i64(g.ew...), i64(g.vw...), int64(0), int64(0), "square")
+	f.Add(i32(g.xadj...), i32(g.adj...), i64(g.ew...), i64(g.vw...), int64(1), int64(0), "vertex total off by one")
+	// Two vertices whose neighbors are 7 and -3.
+	f.Add(i32(0, 1, 2), i32(7, -3), i64(1, 1), i64(1, 1), int64(0), int64(0), "out-of-range neighbors")
+	// Row 0 ends at offset 100, past the two half-edges there are.
+	f.Add(i32(0, 100, 2, 2), i32(1, 2), i64(1, 1), i64(1, 1, 1), int64(0), int64(0), "offset past adjacency")
+
+	f.Fuzz(func(t *testing.T, xadjRaw, adjRaw, ewRaw, vwRaw []byte, dvw, dew int64, note string) {
+		xadj, adj := ints32(xadjRaw), ints32(adjRaw)
+		ew, vw := ints64(ewRaw), ints64(vwRaw)
+		tvw, tew := csrTotals(xadj, adj, ew, vw)
+		raw := &Graph{xadj: xadj, adj: adj, ew: ew, vw: vw, m: len(adj) / 2}
+		fp := raw.Fingerprint()
+		meta := []uint64{uint64(len(vw)), uint64(len(adj) / 2), uint64(tvw + dvw), uint64(tew + dew), fp.Hi, fp.Lo}
+		path := filepath.Join(t.TempDir(), "g.snap")
+		if err := snapfile.Write(path, snapshotKind, snapshotVersion, meta, [][]byte{xadjRaw, adjRaw, ewRaw, vwRaw, []byte(note)}); err != nil {
+			t.Skip(err) // beyond the container's caps: not a decoder input
+		}
+		got, gotNote, err := OpenSnapshot(path)
+		if err != nil {
+			return
+		}
+		for v := 0; v < got.N(); v++ {
+			nbr, _ := got.Neighbors(v)
+			for _, u := range nbr {
+				if u < 0 || int(u) >= got.N() {
+					t.Fatalf("accepted vertex %d with neighbor %d, outside [0, %d)", v, u, got.N())
+				}
+			}
+		}
+		if uint64(got.TotalVertexWeight()) != meta[2] || uint64(got.TotalEdgeWeight()) != meta[3] {
+			t.Fatalf("accepted totals (%d, %d), header says (%d, %d)",
+				got.TotalVertexWeight(), got.TotalEdgeWeight(), int64(meta[2]), int64(meta[3]))
+		}
+		if gotNote != note {
+			t.Fatalf("note = %q, want %q", gotNote, note)
+		}
+	})
+}
+
+// ints32 and ints64 decode little-endian words, dropping a ragged tail.
+func ints32(b []byte) []int32 {
+	xs := make([]int32, len(b)/4)
+	for i := range xs {
+		xs[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return xs
+}
+
+func ints64(b []byte) []int64 {
+	xs := make([]int64, len(b)/8)
+	for i := range xs {
+		xs[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return xs
 }
 
 func TestFingerprintBytesSeparatesKeys(t *testing.T) {

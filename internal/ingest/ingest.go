@@ -168,17 +168,6 @@ func LoadBytes(name string, data []byte, opt Options) (*Result, error) {
 	return timedLoad(src, opt)
 }
 
-// LoadReader loads a graph from a generic stream by spooling it to
-// memory first (two passes need a re-readable source). Prefer LoadFile
-// or LoadBytes when the input is already random-access.
-func LoadReader(name string, r io.Reader, opt Options) (*Result, error) {
-	data, err := io.ReadAll(io.LimitReader(r, 1<<31))
-	if err != nil {
-		return nil, err
-	}
-	return LoadBytes(name, data, opt)
-}
-
 func timedLoad(src source, opt Options) (*Result, error) {
 	t0 := time.Now()
 	res, err := load(src, opt)

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"strconv"
@@ -294,7 +295,7 @@ func (c *Client) Stats(ctx context.Context) (map[string]any, error) {
 // fully concurrently because parked ?wait=1 polls are cheap. The first
 // error aborts outstanding work and is returned.
 func (c *Client) RunBatch(ctx context.Context, b engine.BatchSpec) ([]engine.Job, error) {
-	specs, err := engine.ExpandBatch(b)
+	specs, err := engine.ExpandBatch(b, math.MaxInt)
 	if err != nil {
 		return nil, err
 	}

@@ -254,6 +254,39 @@ func TestMapdBatch(t *testing.T) {
 	}
 }
 
+// TestMapdBatchBeyondRetention: a batch of more jobs than the engine
+// retains is refused with 400 before any job is queued, including
+// batches whose graphs × topologies × reps product wraps an int64 (4 ×
+// 2^62 = 2^64), with and without skip_too_small.
+func TestMapdBatchBeyondRetention(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1, QueueCap: 2, RetainJobs: 4})
+	srv := httptest.NewServer(New(eng, Config{}))
+	t.Cleanup(func() {
+		srv.Close()
+		eng.Close()
+	})
+	graph := `{"network": "p2p-Gnutella", "scale": 0.05, "seed": 11}`
+	four := strings.Repeat(graph+",", 3) + graph
+	for name, body := range map[string]string{
+		"retain+1":         `{"graphs": [` + graph + `], "topologies": ["grid:4x4"], "reps": 5}`,
+		"wrapping product": `{"graphs": [` + four + `], "topologies": ["grid:4x4"], "reps": 4611686018427387904}`,
+		"wrapping, skipped": `{"graphs": [` + four + `], "topologies": ["grid:32x32"], "reps": 4611686018427387904,
+			"skip_too_small": true}`,
+	} {
+		var out struct {
+			Error  string   `json:"error"`
+			JobIDs []string `json:"job_ids"`
+		}
+		code := postJSON(t, srv.URL+"/v1/batches", body, &out)
+		if code != http.StatusBadRequest || len(out.JobIDs) != 0 || !strings.Contains(out.Error, "retention window of 4 jobs") {
+			t.Errorf("%s: status %d, %d job IDs, error %q; want 400, none, the retention window", name, code, len(out.JobIDs), out.Error)
+		}
+	}
+	if n := len(eng.Jobs()); n != 0 {
+		t.Errorf("refused batches queued %d jobs", n)
+	}
+}
+
 // TestMapdStatsAndPprof covers the observability surface: /v1/stats
 // must report pool state and count served jobs, and the pprof mount
 // must follow the opt-in flag.

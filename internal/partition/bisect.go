@@ -54,54 +54,7 @@ func (sc *Scratch) multilevelBisect(g *graph.Graph, cfg Config, rng *rand.Rand, 
 		side = fine
 	}
 	sc.rebalanceBisection(g, side, loL, hiL)
-
-	// Iterated multilevel: re-coarsen without crossing the current cut,
-	// then refine the projected bisection at every level again. Each
-	// V-cycle can only keep or improve the cut (FM never worsens it).
-	for c := 0; c < cfg.VCycles; c++ {
-		side = sc.vcycleOnce(g, cfg, rng, side, loL, hiL)
-	}
 	return side
-}
-
-// vcycleOnce runs one restricted-coarsening V-cycle over an existing
-// bisection and returns the (possibly improved) bisection, reusing the
-// scratch's hierarchy storage (the main pass's levels are dead by now).
-func (sc *Scratch) vcycleOnce(g *graph.Graph, cfg Config, rng *rand.Rand, side []int32, loL, hiL int64) []int32 {
-	sc.level(0).g = g
-	nlev := 1
-	cur := g
-	curSide := side
-	for cur.N() > cfg.CoarsestSize {
-		lv := sc.level(nlev)
-		var nc int
-		lv.coarse, nc = sc.heavyEdgeMatchingGrouped(cur, rng, hiL, curSide, lv.coarse)
-		if float64(nc) > 0.96*float64(cur.N()) {
-			break
-		}
-		sc.contractor.ContractSortedInto(lv.store, cur, lv.coarse, nc)
-		lv.g = lv.store
-		nextSide := graph.Resize(lv.side, nc)
-		for v, cv := range lv.coarse {
-			nextSide[cv] = curSide[v] // matching never crosses the cut
-		}
-		lv.side = nextSide
-		nlev++
-		cur = lv.g
-		curSide = nextSide
-	}
-	sc.refineBisection(cur, curSide, loL, hiL, cfg.FMPasses)
-	for li := nlev - 1; li >= 1; li-- {
-		coarse := sc.levels[li].coarse
-		// The level-0 write may target the buffer holding the incoming
-		// side: safe, projection only reads the coarser level.
-		fine := graph.Resize(sc.levels[li-1].side, len(coarse))
-		projectInto(fine, coarse, curSide)
-		sc.levels[li-1].side = fine
-		sc.refineBisection(sc.levels[li-1].g, fine, loL, hiL, cfg.FMPasses)
-		curSide = fine
-	}
-	return curSide
 }
 
 // initialBisection runs several greedy graph-growing attempts and keeps

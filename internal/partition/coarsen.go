@@ -6,40 +6,12 @@ import (
 	"repro/internal/graph"
 )
 
-// level is one rung of a materialized multilevel hierarchy: the coarse
-// graph and the mapping from the finer graph's vertices onto it. The
-// hot path keeps its hierarchy in scratch storage (bLevel); this
-// snapshot form is produced by buildHierarchy for tests and external
-// inspection.
-type level struct {
-	g      *graph.Graph
-	coarse []int32 // finer vertex -> coarse vertex (nil at the finest level)
-}
-
-// heavyEdgeMatching computes a matching that prefers heavy edges; see
-// Scratch.heavyEdgeMatchingGrouped. This standalone form allocates its
-// result and is kept for tests and external callers.
-func heavyEdgeMatching(g *graph.Graph, rng *rand.Rand, maxBlockWeight int64) ([]int32, int) {
-	return heavyEdgeMatchingGrouped(g, rng, maxBlockWeight, nil)
-}
-
-// heavyEdgeMatchingGrouped is the allocating form of the grouped
-// matching: it runs on a private scratch and returns a fresh coarse map.
-func heavyEdgeMatchingGrouped(g *graph.Graph, rng *rand.Rand, maxBlockWeight int64, group []int32) ([]int32, int) {
-	sc := NewScratch()
-	coarse, nc := sc.heavyEdgeMatchingGrouped(g, rng, maxBlockWeight, group, nil)
-	return coarse, nc
-}
-
-// heavyEdgeMatchingGrouped computes a matching restricted to pairs
-// within the same group (group == nil means unrestricted): visit
-// vertices in random order; match each unmatched vertex to its heaviest
-// unmatched neighbor (ties broken by smaller degree, which empirically
-// keeps coarse graphs sparser). V-cycles use the current bisection as
-// the group so contraction never crosses the cut. The fine→coarse map
-// is written into coarse (grown as needed) and returned with the coarse
-// vertex count.
-func (sc *Scratch) heavyEdgeMatchingGrouped(g *graph.Graph, rng *rand.Rand, maxBlockWeight int64, group []int32, coarse []int32) ([]int32, int) {
+// heavyEdgeMatching computes a heavy-edge matching: visit vertices in
+// random order; match each unmatched vertex to its heaviest unmatched
+// neighbor (ties broken by smaller degree, which empirically keeps
+// coarse graphs sparser). The fine→coarse map is written into coarse
+// (grown as needed) and returned with the coarse vertex count.
+func (sc *Scratch) heavyEdgeMatching(g *graph.Graph, rng *rand.Rand, maxBlockWeight int64, coarse []int32) ([]int32, int) {
 	n := g.N()
 	sc.perm = permInto(rng, sc.perm, n)
 	match := graph.Resize(sc.match, n)
@@ -56,9 +28,6 @@ func (sc *Scratch) heavyEdgeMatchingGrouped(g *graph.Graph, rng *rand.Rand, maxB
 		nbr, ew := g.Neighbors(v)
 		for i, u := range nbr {
 			if match[u] >= 0 {
-				continue
-			}
-			if group != nil && group[u] != group[v] {
 				continue
 			}
 			// Avoid creating coarse vertices heavier than the block limit:
@@ -109,11 +78,7 @@ func (sc *Scratch) buildHierarchy(g *graph.Graph, cfg Config, rng *rand.Rand, ma
 	for cur.N() > cfg.CoarsestSize {
 		lv := sc.level(nlev)
 		var nc int
-		if cfg.Coarsening == ClusterCoarsening {
-			lv.coarse, nc = sc.clusterCoarsen(cur, rng, maxBlockWeight, lv.coarse)
-		} else {
-			lv.coarse, nc = sc.heavyEdgeMatchingGrouped(cur, rng, maxBlockWeight, nil, lv.coarse)
-		}
+		lv.coarse, nc = sc.heavyEdgeMatching(cur, rng, maxBlockWeight, lv.coarse)
 		if float64(nc) > 0.96*float64(cur.N()) {
 			break // contraction stalled; further levels would not shrink
 		}
@@ -123,27 +88,4 @@ func (sc *Scratch) buildHierarchy(g *graph.Graph, cfg Config, rng *rand.Rand, ma
 		cur = lv.g
 	}
 	return nlev
-}
-
-// buildHierarchy is the allocating snapshot form: it runs on a private
-// scratch and hands the levels out as independent values (the scratch
-// is not reused, so the aliased storage stays valid). Tests use it to
-// inspect coarsening behavior.
-func buildHierarchy(g *graph.Graph, cfg Config, rng *rand.Rand, maxBlockWeight int64) []level {
-	sc := NewScratch()
-	nlev := sc.buildHierarchy(g, cfg, rng, maxBlockWeight)
-	levels := make([]level, nlev)
-	for i := 0; i < nlev; i++ {
-		levels[i] = level{g: sc.levels[i].g, coarse: sc.levels[i].coarse}
-	}
-	levels[0].coarse = nil
-	return levels
-}
-
-// projectPartition lifts a partition of the coarse graph to the finer
-// graph through the fine→coarse map.
-func projectPartition(coarse []int32, coarsePart []int32) []int32 {
-	fine := make([]int32, len(coarse))
-	projectInto(fine, coarse, coarsePart)
-	return fine
 }

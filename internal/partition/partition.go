@@ -36,14 +36,6 @@ type Config struct {
 	InitialTries int
 	// FMPasses bounds the FM passes per level (0 = default).
 	FMPasses int
-	// Coarsening selects the contraction scheme (default: matching;
-	// ClusterCoarsening suits complex networks, cf. package docs).
-	Coarsening CoarseningScheme
-	// VCycles adds iterated-multilevel rounds per bisection: the graph
-	// is re-coarsened without crossing the current cut and the projected
-	// bisection is refined again at every level (KaHIP's V-cycle idea).
-	// Each cycle can only keep or lower the cut; 0 disables.
-	VCycles int
 	// Scratch, when non-nil, supplies the reusable buffers of the
 	// multilevel hot path (see Scratch). Results are byte-identical with
 	// or without it; nil borrows a scratch from a package pool. A
@@ -160,6 +152,12 @@ func (sc *Scratch) recursiveBisect(g *graph.Graph, cfg Config, part []int32, k i
 		for v := 0; v < g.N(); v++ {
 			part[v] = 0
 		}
+		return
+	}
+	if g.N() == 0 {
+		// A lumpy-weight bisection can leave a half with k ≥ 2 blocks
+		// and no vertices: there is nothing to split and no seed to
+		// draw (greedy growing could not pick one).
 		return
 	}
 	kL := k / 2

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -76,6 +77,7 @@ func TestPartitionBalanced(t *testing.T) {
 		{"grid16x16 k=8", grid(16, 16), 8},
 		{"rand500 k=7", randomGraph(500, 1500, 2), 7},
 		{"rand1000 k=16", randomGraph(1000, 4000, 3), 16},
+		{"rand1200 k=16", randomGraph(1200, 6000, 5), 16},
 		{"path100 k=3", graph.Path(100), 3},
 	}
 	for _, tc := range cases {
@@ -177,7 +179,7 @@ func TestEvaluate(t *testing.T) {
 func TestHeavyEdgeMatchingValid(t *testing.T) {
 	g := randomGraph(200, 600, 13)
 	rng := rand.New(rand.NewSource(1))
-	coarse, nc := heavyEdgeMatching(g, rng, 0)
+	coarse, nc := NewScratch().heavyEdgeMatching(g, rng, 0, nil)
 	if nc > g.N() || nc < g.N()/2 {
 		t.Fatalf("coarse count %d out of range [%d,%d]", nc, g.N()/2, g.N())
 	}
@@ -202,12 +204,13 @@ func TestHeavyEdgeMatchingValid(t *testing.T) {
 func TestCoarseningPreservesWeight(t *testing.T) {
 	g := randomGraph(300, 1000, 17)
 	rng := rand.New(rand.NewSource(2))
-	levels := buildHierarchy(g, Config{K: 4}.withDefaults(), rng, 0)
-	for i := 1; i < len(levels); i++ {
-		if levels[i].g.TotalVertexWeight() != g.TotalVertexWeight() {
+	sc := NewScratch()
+	nlev := sc.buildHierarchy(g, Config{K: 4}.withDefaults(), rng, 0)
+	for i := 1; i < nlev; i++ {
+		if sc.levels[i].g.TotalVertexWeight() != g.TotalVertexWeight() {
 			t.Fatalf("level %d lost vertex weight", i)
 		}
-		if levels[i].g.N() >= levels[i-1].g.N() {
+		if sc.levels[i].g.N() >= sc.levels[i-1].g.N() {
 			t.Fatalf("level %d did not shrink", i)
 		}
 	}
@@ -273,6 +276,57 @@ func TestWeightedVerticesRespected(t *testing.T) {
 	}
 	if !IsBalanced(g, res.Part, 4, 0.1) {
 		t.Errorf("weighted partition unbalanced: %v", BlockWeights(g, res.Part, 4))
+	}
+}
+
+// lumpyGraph builds a random tree on n vertices plus n random edges,
+// with one vertex in four weighted 1–40 and the rest weight 1.
+func lumpyGraph(n int, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(n)
+	for v := 1; v < n; v++ {
+		b.AddEdge(v, rng.Intn(v), 1)
+	}
+	for i := 0; i < n; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			b.AddEdge(u, v, int64(1+rng.Intn(4)))
+		}
+	}
+	for v := 0; v < n; v++ {
+		if rng.Intn(4) == 0 {
+			b.SetVertexWeight(v, int64(1+rng.Intn(40)))
+		}
+	}
+	return b.Build()
+}
+
+// TestPartitionEmptyRecursionHalf: on graphs barely larger than K with
+// lumpy vertex weights, a bisection can leave one half without
+// vertices while its block interval still spans k ≥ 2 blocks. That
+// half must be skipped, not bisected: every such graph still gets a
+// valid K-way partition.
+func TestPartitionEmptyRecursionHalf(t *testing.T) {
+	const k = 16
+	for n := k + 1; n <= k+12; n++ {
+		for seed := int64(0); seed < 24; seed++ {
+			g := lumpyGraph(n, seed)
+			res, err := func() (res *Result, err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				return Partition(g, Config{K: k, Seed: seed})
+			}()
+			if err != nil {
+				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
+			}
+			for v, p := range res.Part {
+				if p < 0 || p >= k {
+					t.Fatalf("n=%d seed=%d: vertex %d in block %d, outside [0, %d)", n, seed, v, p, k)
+				}
+			}
+		}
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 //   - the FM/greedy-growing gain heap, gain/move buffers, the k-way
 //     refinement connectivity tables and the enforceBalance target
 //     accumulators;
-//   - the matching/clustering orders (a rand.Perm-equivalent fill of a
-//     reused buffer) and the rand.Rand itself, over a lazily seeded
+//   - the matching order (a rand.Perm-equivalent fill of a reused
+//     buffer) and the rand.Rand itself, over a lazily seeded
 //     source (see lazySource) that every recursion node reseeds.
 //
 // Engine workers keep one Scratch per worker goroutine and pass it via
@@ -44,13 +44,12 @@ type Scratch struct {
 	bisA, bisB []int32   // greedy-growing try double buffer
 	rebal      [2]idHeap // rebalanceBisection's candidates per side
 
-	// k-way refinement, balance enforcement and clustering. conn/stamp
-	// are sized to max(K, N) and shared by every stamped scan.
+	// k-way refinement and balance enforcement. conn/stamp are sized to
+	// K and shared by every stamped scan.
 	conn        []int64
 	stamp       []int32
 	weights     []int64
 	targetOrder []int32
-	clWeight    []int64
 
 	// Recursive bisection states and the shared subgraph remap buffer.
 	depths []depthState

@@ -95,8 +95,8 @@ type (
 	// Case selects the initial-mapping baseline c1–c4.
 	Case = engine.Case
 	// ArtifactCache is the engine's content-addressed memo of
-	// materialized graphs and partitions (single-flight, LRU-bounded);
-	// EngineOptions.ArtifactCacheEntries/ArtifactCacheBytes size it.
+	// materialized graphs and partitions (single-flight, LRU-bounded to
+	// 1024 entries and 256 MiB); every engine has one (Engine.Artifacts).
 	ArtifactCache = engine.ArtifactCache
 	// ArtifactCacheStats reports the artifact cache's hit/miss/in-flight
 	// counters (Engine.Stats().Artifacts, mapd GET /v1/stats).
