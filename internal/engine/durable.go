@@ -38,10 +38,11 @@ func durableSpec(spec JobSpec) (JobSpec, bool) {
 
 // canonicalSpec marshals a durable spec to its canonical JSON and
 // returns the bytes with their fingerprint — the idempotency key under
-// which finished results are re-served. encoding/json emits struct
-// fields in declaration order, so equal specs marshal to equal bytes.
+// which finished results are re-served. The JSON is json.Marshal's
+// (written by MarshalSpec), which emits struct fields in declaration
+// order, so equal specs marshal to equal bytes.
 func canonicalSpec(spec JobSpec) ([]byte, string, error) {
-	body, err := json.Marshal(spec)
+	body, err := MarshalSpec(spec)
 	if err != nil {
 		return nil, "", err
 	}

@@ -8,10 +8,101 @@ import (
 // EdgeList is an inline graph's edge list: EdgeList[i] = [u, v, w].
 // Under encoding/json it behaves exactly like [][3]int64: it accepts
 // the same inputs, decodes each to the same value and encodes to the
-// same bytes. Only decoding is specialized (see UnmarshalJSON);
-// encoding is encoding/json's own, so canonical spec JSON and spec
-// hashes do not depend on this type.
+// same bytes. Decoding is specialized (see UnmarshalJSON); encoding is
+// encoding/json's own, and MarshalSpec reproduces its bytes, so
+// canonical spec JSON and spec hashes do not depend on this type.
 type EdgeList [][3]int64
+
+// MarshalSpec returns exactly what json.Marshal(spec) returns, bytes
+// and error, in less time when the spec carries inline edges:
+// encoding/json writes every other field, and the edge list, the last
+// field of the graph object, is formatted straight into its place in
+// an output allocated once at its exact length. The result's capacity
+// is its length, as callers keep it (the router for failover, the
+// ledger in its mirror). It is a function rather than a MarshalJSON
+// method because encoding/json re-compacts a Marshaler's output, which
+// costs more than the reflection it saves.
+func MarshalSpec(spec JobSpec) ([]byte, error) {
+	edges := spec.Graph.Edges
+	spec.Graph.Edges = nil
+	body, err := json.Marshal(spec)
+	if err != nil {
+		return nil, err
+	}
+	if len(edges) == 0 {
+		return append(make([]byte, 0, len(body)), body...), nil
+	}
+	graphJSON, err := json.Marshal(spec.Graph)
+	if err != nil {
+		return nil, err
+	}
+	// body is {"graph":<graphJSON>,...}: the edges go in front of the
+	// graph object's closing brace, after a comma if it has fields.
+	cut := len(`{"graph":`) + len(graphJSON) - 1
+	key := `,"edges":[`
+	if len(graphJSON) == len("{}") {
+		key = key[1:]
+	}
+	size := len(body) + len(key) + len("]") + len(edges) - 1
+	for _, e := range edges {
+		size += len("[,,]") + decimalLen(e[0]) + decimalLen(e[1]) + decimalLen(e[2])
+	}
+	out := make([]byte, size)
+	copy(out, body[:cut])
+	copy(out[cut:], key)
+	// Fill the list back to front, each number from its last digit.
+	p := size - copy(out[size-len(body)+cut:], body[cut:]) - 1
+	out[p] = ']'
+	for k := len(edges) - 1; k >= 0; k-- {
+		e := edges[k]
+		p--
+		out[p] = ']'
+		p = putInt(out, p, e[2]) - 1
+		out[p] = ','
+		p = putInt(out, p, e[1]) - 1
+		out[p] = ','
+		p = putInt(out, p, e[0]) - 1
+		out[p] = '['
+		if k > 0 {
+			p--
+			out[p] = ','
+		}
+	}
+	return out, nil
+}
+
+// decimalLen returns the length of x in base 10, sign included.
+func decimalLen(x int64) int {
+	n, u := 1, uint64(x)
+	if x < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+// putInt writes x in base 10 to end just before out[p] and returns the
+// index of its first byte.
+func putInt(out []byte, p int, x int64) int {
+	u := uint64(x)
+	if x < 0 {
+		u = -u
+	}
+	for {
+		p--
+		out[p] = byte('0' + u%10)
+		if u /= 10; u == 0 {
+			break
+		}
+	}
+	if x < 0 {
+		p--
+		out[p] = '-'
+	}
+	return p
+}
 
 // UnmarshalJSON parses the common shape, an array of integer triples,
 // without reflection: JSON whitespace between tokens, integers in

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"repro/internal/netgen"
 )
 
 // FuzzEdgeList checks EdgeList against the decoder it stands in for:
@@ -123,4 +125,40 @@ func BenchmarkEdgeListDecode(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkMarshalSpec encodes an inline job of the size the service
+// benchmark sends (PGPgiantcompo at scale 0.1: 1,068 vertices, 2,133
+// edges) with encoding/json and with MarshalSpec.
+func BenchmarkMarshalSpec(b *testing.B) {
+	ns, err := netgen.ByName("PGPgiantcompo")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := ns.Generate(0.1, 3)
+	spec := JobSpec{Graph: GraphSpec{N: g.N()}, Topology: "grid:8x8", Case: C3GreedyAllC, Seed: 3}
+	for u := 0; u < g.N(); u++ {
+		nbr, ew := g.Neighbors(u)
+		for i, v := range nbr {
+			if int(v) > u {
+				spec.Graph.Edges = append(spec.Graph.Edges, [3]int64{int64(u), int64(v), ew[i]})
+			}
+		}
+	}
+	for _, bc := range []struct {
+		name   string
+		encode func(any) ([]byte, error)
+	}{
+		{"json.Marshal", json.Marshal},
+		{"MarshalSpec", func(any) ([]byte, error) { return MarshalSpec(spec) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := bc.encode(spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

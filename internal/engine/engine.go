@@ -434,7 +434,7 @@ func (e *Engine) Jobs() []Job {
 // widens — it is the sequential reference wide mode is measured
 // against; Spec.Wide only takes effect on submitted jobs.
 func (e *Engine) Run(spec JobSpec) (*JobResult, error) {
-	return runPipeline(spec, e.cache.Get, e.GraphByRef, nil, nil, e.artifacts, nil)
+	return e.runPipeline(spec, nil, nil, nil)
 }
 
 // Stats is a point-in-time snapshot of the engine's pool state, served
@@ -578,7 +578,7 @@ func (e *Engine) runGuarded(spec JobSpec, rec *jobRecord, ws *workerScratch) (re
 		st = &wideState{}
 		spawn = e.spawnFor(spec.Wide, st)
 	}
-	res, err = runPipeline(spec, e.cache.Get, e.GraphByRef, func(name string, seconds float64) {
+	res, err = e.runPipeline(spec, func(name string, seconds float64) {
 		if seconds >= 0 {
 			e.stageMu.Lock()
 			e.stageSecs[name] += seconds
@@ -591,7 +591,7 @@ func (e *Engine) runGuarded(spec JobSpec, rec *jobRecord, ws *workerScratch) (re
 			rec.job.Stages = append(rec.job.Stages, Stage{Name: name, Seconds: seconds})
 		}
 		rec.mu.Unlock()
-	}, ws, e.artifacts, spawn)
+	}, ws, spawn)
 	if st != nil {
 		if g := st.grants.Load(); g > 0 {
 			e.wideGrants.Add(g)

@@ -175,9 +175,8 @@ func (gs GraphSpec) materialize(jobSeed int64) (*graph.Graph, error) {
 	case gs.G != nil:
 		return gs.G, nil
 	case gs.Ref != "":
-		// References resolve through the engine's ingest registry;
-		// runPipeline intercepts them before reaching here, so this only
-		// fires for contexts with no registry at all.
+		// References resolve through the engine's ingest registry, which
+		// runPipeline and SubmitBatch consult before materializing.
 		return nil, fmt.Errorf("engine: graph ref %q needs an engine to resolve it", gs.Ref)
 	case gs.Network != "":
 		spec, err := netgen.ByName(gs.Network)
@@ -434,23 +433,20 @@ func moreThanOne(flags ...bool) bool {
 }
 
 // runPipeline executes the partition → initial mapping → TIMER pipeline
-// of one job. resolve supplies the topology (cache-backed for engine
-// jobs); resolveRef supplies ingested graphs by reference (nil when the
-// calling context has no ingest registry); stage is called before each
-// step begins and receives the step's duration after it ends, so
+// of one job. The topology comes from the engine's cache and an
+// ingested graph from its registry (GraphByRef); stage is called before
+// each step begins and receives the step's duration after it ends, so
 // callers can stream progress. ws, when non-nil, carries the calling
 // worker's reusable scratch arenas (base stage + TIMER); without it,
-// every stage borrows from its package pool. arts memoizes whole stages
-// across jobs: netgen graph materialization by canonical spec key and
-// multilevel partitions by (graph fingerprint, K, ε, partition seed),
-// with single-flight coalescing of concurrent identical requests.
-// spawn, when non-nil, is the wide-mode helper hook handed to the DRB,
-// partition and TIMER stages (see wide.go); results are byte-identical
-// with or without it.
-func runPipeline(spec JobSpec, resolve func(string) (*topology.Topology, error),
-	resolveRef func(string) (*graph.Graph, error),
-	stage func(name string, seconds float64), ws *workerScratch, arts *ArtifactCache,
-	spawn func(func()) bool) (*JobResult, error) {
+// every stage borrows from its package pool. The artifact cache
+// memoizes whole stages across jobs: netgen graph materialization by
+// canonical spec key and multilevel partitions by (graph fingerprint,
+// K, ε, partition seed), with single-flight coalescing of concurrent
+// identical requests. spawn, when non-nil, is the wide-mode helper
+// hook handed to the DRB, partition and TIMER stages (see wide.go);
+// results are byte-identical with or without it.
+func (e *Engine) runPipeline(spec JobSpec, stage func(name string, seconds float64),
+	ws *workerScratch, spawn func(func()) bool) (*JobResult, error) {
 	spec = spec.withDefaults()
 	if stage == nil {
 		stage = func(string, float64) {}
@@ -469,7 +465,7 @@ func runPipeline(spec JobSpec, resolve func(string) (*topology.Topology, error),
 	var topo *topology.Topology
 	if err := timed("topology", func() error {
 		var err error
-		topo, err = resolve(spec.Topology)
+		topo, err = e.cache.Get(spec.Topology)
 		return err
 	}); err != nil {
 		return nil, err
@@ -483,14 +479,11 @@ func runPipeline(spec JobSpec, resolve func(string) (*topology.Topology, error),
 			if spec.Graph.Network != "" || len(spec.Graph.Edges) > 0 {
 				return fmt.Errorf("engine: graph spec sets more than one of ref, network and edges; want exactly one source")
 			}
-			if resolveRef == nil {
-				return fmt.Errorf("engine: graph ref %q needs an engine to resolve it", ref)
-			}
-			ga, err = resolveRef(ref)
+			ga, err = e.GraphByRef(ref)
 			return err
 		}
 		if graphKey != "" {
-			ga, err = arts.Graph(graphKey, func() (*graph.Graph, error) {
+			ga, err = e.artifacts.Graph(graphKey, func() (*graph.Graph, error) {
 				return spec.Graph.materialize(spec.Seed)
 			})
 			return err
@@ -560,11 +553,11 @@ func runPipeline(spec JobSpec, resolve func(string) (*topology.Topology, error),
 			// byte-identical to a recomputation.
 			gkey := graphKey
 			if gkey == "" {
-				gkey = "fp:" + arts.fingerprintOf(ga).String()
+				gkey = "fp:" + e.artifacts.fingerprintOf(ga).String()
 			}
 			key := fmt.Sprintf("part:%s|k=%d|eps=%g|seed=%d", gkey, cfg.K, cfg.Epsilon, pseed)
 			var err error
-			part, res.PartitionReused, err = arts.Partition(key, func() (*partition.Result, error) {
+			part, res.PartitionReused, err = e.artifacts.Partition(key, func() (*partition.Result, error) {
 				return partition.Partition(ga, cfg)
 			})
 			res.BaseSeconds = time.Since(t0).Seconds()

@@ -128,7 +128,7 @@ func (rt *Router) submitBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ids := make([]string, 0, len(specs))
 	for _, spec := range specs {
-		specJSON, err := json.Marshal(spec)
+		specJSON, err := engine.MarshalSpec(spec)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -168,12 +168,17 @@ func (rt *Router) getJob(w http.ResponseWriter, r *http.Request) {
 
 // fetch proxies one snapshot or wait call to the job's current
 // placement, requeueing the job onto another replica when the current
-// one is dead or has forgotten it. The wait variant loops: a requeue
-// mid-wait is invisible to the client beyond added latency.
+// one is dead or has forgotten it. A job the router has already relayed
+// as final is answered from its kept snapshot, with no upstream call.
+// The wait variant loops: a requeue mid-wait is invisible to the client
+// beyond added latency. The plain variant asks the new placement once.
 func (rt *Router) fetch(r *http.Request, rj *routedJob, wait bool) (engine.Job, error) {
 	ctx := r.Context()
-	for {
-		rep, remoteID := rj.placement()
+	for first := true; ; first = false {
+		final, rep, remoteID := rj.state()
+		if final != nil {
+			return *final, nil
+		}
 		var job engine.Job
 		var err error
 		if wait {
@@ -184,8 +189,9 @@ func (rt *Router) fetch(r *http.Request, rj *routedJob, wait bool) (engine.Job, 
 		switch {
 		case err == nil:
 			rep.breaker.success()
+			rj.settle(job)
 			return job, nil
-		case ctx.Err() != nil:
+		case ctx.Err() != nil, !first && !wait:
 			return engine.Job{}, err
 		case notFound(err):
 			// The replica restarted past this job; move it. No breaker
@@ -205,11 +211,6 @@ func (rt *Router) fetch(r *http.Request, rj *routedJob, wait bool) (engine.Job, 
 			if sErr := sleepCtx(ctx, 300*time.Millisecond); sErr != nil {
 				return engine.Job{}, rqErr
 			}
-		}
-		if !wait {
-			rep2, remote2 := rj.placement()
-			job, err := rep2.client.GetJob(ctx, remote2)
-			return job, err
 		}
 	}
 }

@@ -61,21 +61,45 @@ func (c Config) withDefaults() Config {
 // routedJob is the router's record of one job it placed: the request
 // bytes it resubmits verbatim on failover, the routing key, and the
 // current placement (which replica, under which replica-local ID).
+// Once the router has relayed the job as done or failed, the record
+// keeps that snapshot instead of the request bytes: a final job is
+// never placed again, and every later read is answered from it.
 type routedJob struct {
-	id   string // router-scoped "fl-NNNNNN" ID
-	body []byte // spec JSON: the client's request body, or a batch job's encoding
-	key  string // rendezvous routing key (spec hash)
+	id  string // router-scoped "fl-NNNNNN" ID
+	key string // rendezvous routing key (spec hash)
 
 	mu       sync.Mutex
+	body     []byte // spec JSON: the client's request body, or a batch job's encoding; nil once final
 	rep      *Replica
 	remoteID string
+	final    *engine.Job // the relayed done or failed snapshot, under the router ID
 }
 
-// placement returns the job's current replica and remote ID.
-func (rj *routedJob) placement() (*Replica, string) {
+// state returns the job's final snapshot, or nil and its current
+// placement (replica and remote ID).
+func (rj *routedJob) state() (*engine.Job, *Replica, string) {
 	rj.mu.Lock()
 	defer rj.mu.Unlock()
-	return rj.rep, rj.remoteID
+	return rj.final, rj.rep, rj.remoteID
+}
+
+// settle keeps job, under the router ID, as the final snapshot if it is
+// done or failed, and drops the request bytes. An interrupted job is
+// not final: its replica requeues it on restart. The first final
+// snapshot stays, so every read answers the same bytes.
+func (rj *routedJob) settle(job engine.Job) {
+	rj.mu.Lock()
+	defer rj.mu.Unlock()
+	rj.settleLocked(job)
+}
+
+// settleLocked is settle for a caller that holds rj.mu.
+func (rj *routedJob) settleLocked(job engine.Job) {
+	if rj.final != nil || (job.Status != engine.StatusDone && job.Status != engine.StatusFailed) {
+		return
+	}
+	job.ID = rj.id
+	rj.final, rj.body = &job, nil
 }
 
 // Router is the fleet's routing proxy: an http.Handler speaking the
@@ -197,7 +221,9 @@ func (rt *Router) place(ctx context.Context, body []byte, key string, avoid *Rep
 }
 
 // register files a placed job under a fresh router ID, evicting the
-// oldest record past the retention bound.
+// oldest record past the retention bound. A placement answered with a
+// final snapshot (a resubmission the replica's ledger served) is filed
+// final.
 func (rt *Router) register(body []byte, key string, rep *Replica, remote engine.Job) *routedJob {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -206,6 +232,7 @@ func (rt *Router) register(body []byte, key string, rep *Replica, remote engine.
 		id: fmt.Sprintf("fl-%06d", rt.seq), body: body, key: key,
 		rep: rep, remoteID: remote.ID,
 	}
+	rj.settle(remote)
 	rt.jobs[rj.id] = rj
 	rt.order = append(rt.order, rj.id)
 	for len(rt.order) > rt.cfg.RetainJobs {
@@ -218,23 +245,25 @@ func (rt *Router) register(body []byte, key string, rep *Replica, remote engine.
 // requeue moves the job off dead: resubmits its request bytes to the
 // next usable replica in rendezvous order. Only the caller who saw the
 // current placement fail performs the move; concurrent waiters that
-// lost the race adopt the new placement instead of resubmitting again.
-// Resubmission is safe — the spec-hash dedup and the deterministic
-// pipeline make the moved job's result byte-identical.
+// lost the race adopt the new placement instead of resubmitting again,
+// and a job that has become final is not moved at all. Resubmission is
+// safe — the spec-hash dedup and the deterministic pipeline make the
+// moved job's result byte-identical.
 func (rt *Router) requeue(ctx context.Context, rj *routedJob, dead *Replica, deadRemoteID string) error {
 	// The placement lock is held across the resubmission on purpose:
 	// concurrent waiters of this one job serialize here, so exactly one
 	// performs the move and the rest adopt its result.
 	rj.mu.Lock()
 	defer rj.mu.Unlock()
-	if rj.rep != dead || rj.remoteID != deadRemoteID {
-		return nil // another waiter already moved it
+	if rj.final != nil || rj.rep != dead || rj.remoteID != deadRemoteID {
+		return nil // final, or another waiter already moved it
 	}
 	rep, job, err := rt.place(ctx, rj.body, rj.key, dead)
 	if err != nil {
 		return err
 	}
 	rj.rep, rj.remoteID = rep, job.ID
+	rj.settleLocked(job)
 	rt.requeues.Add(1)
 	dead.failovers.Add(1)
 	return nil

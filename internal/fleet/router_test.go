@@ -369,6 +369,93 @@ func failOverWhenReplicaDies(t *testing.T, spec engine.JobSpec) {
 	}
 }
 
+// TestRouterServesFinalJobsAfterReplicaDeath: once the router has
+// relayed a job as done, it keeps that snapshot and answers every later
+// read of the job from it. The replica that ran the job can then die
+// without the job being placed again: plain and ?wait=1 reads return
+// the same bytes as before the kill, and the failover and requeue
+// counters stay put. This holds for a job relayed by a wait and for a
+// resubmission whose placement the replica's ledger answered done.
+func TestRouterServesFinalJobsAfterReplicaDeath(t *testing.T) {
+	replicas := make([]*testReplica, 2)
+	var urls []string
+	for i := range replicas {
+		replicas[i] = startReplicaAt(t, "", engine.Options{Workers: 1, JobDir: t.TempDir()})
+		urls = append(urls, replicas[i].url())
+	}
+	rt, srv := fastRouter(t, urls)
+	waitUsable(t, rt, 2)
+
+	spec := testSpec(5)
+	c := mapclient.New(srv.URL, mapclient.Config{AttemptTimeout: 15 * time.Second})
+	ctx := context.Background()
+	first, err := c.SubmitJob(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := c.WaitJob(ctx, first.ID); err != nil || done.Status != engine.StatusDone {
+		t.Fatalf("job %s: %v / %s (%s)", first.ID, err, done.Status, done.Error)
+	}
+	again, err := c.SubmitJob(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Status != engine.StatusDone || again.Result == nil || !again.Result.ServedFromLedger {
+		t.Fatalf("resubmission: status %s, want done and served from the ledger", again.Status)
+	}
+
+	get := func(path string) string {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d %s (%v)", path, resp.StatusCode, body, err)
+		}
+		return string(body)
+	}
+	paths := []string{
+		"/v1/jobs/" + first.ID, "/v1/jobs/" + first.ID + "?wait=1",
+		"/v1/jobs/" + again.ID, "/v1/jobs/" + again.ID + "?wait=1",
+	}
+	before := make(map[string]string)
+	for _, p := range paths {
+		before[p] = get(p)
+	}
+	failovers, requeues := rt.Failovers(), rt.Requeues()
+
+	key, ok := engine.SpecHash(spec)
+	if !ok {
+		t.Fatal("spec has no hash")
+	}
+	for _, r := range replicas {
+		if r.url() == rt.HomeOf(key) {
+			r.kill()
+		}
+	}
+	// Several readers of each path at once, as concurrent waiters of a
+	// job would be.
+	var wg sync.WaitGroup
+	for _, p := range paths {
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := get(p); got != before[p] {
+					t.Errorf("GET %s after the kill:\n%s\nwant the snapshot relayed before it:\n%s", p, got, before[p])
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if f, q := rt.Failovers(), rt.Requeues(); f != failovers || q != requeues {
+		t.Errorf("reading final jobs moved them: failovers %d -> %d, requeues %d -> %d", failovers, f, requeues, q)
+	}
+}
+
 // TestRouterForwardsRequestBytes: the router hands the replica the
 // client's request body byte for byte (whitespace and key order
 // included), not a re-encoding of the spec it decoded.

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Builder accumulates edges and produces an immutable Graph.
 //
@@ -64,66 +61,82 @@ func (b *Builder) SetVertexWeight(v int, w int64) *Builder {
 	return b
 }
 
-// edgeRec is a directed half-edge used during construction.
-type edgeRec struct {
-	src, dst int32
-	w        int64
-}
-
 // Build finalizes the graph. The builder may not be reused afterwards.
+//
+// Every row comes out sorted by neighbor id without a comparison sort.
+// The half-edges are bucketed by source (each bucket entry is an edge
+// index), and the buckets are transposed: scanning them in increasing
+// source id appends each source to its neighbor's row, and since every
+// edge is bucketed under both endpoints, each row fills in increasing
+// neighbor order. Parallel edges therefore arrive back to back and
+// merge into the slot just written. A first scan counts each row's
+// distinct neighbors, so the adjacency and weight arrays are allocated
+// once at exactly their length (FootprintBytes counts len).
 func (b *Builder) Build() *Graph {
 	n := b.n
-	// Materialize both directions, then sort and merge duplicates.
-	recs := make([]edgeRec, 0, 2*len(b.us))
-	for i := range b.us {
-		recs = append(recs,
-			edgeRec{b.us[i], b.vs[i], b.ws[i]},
-			edgeRec{b.vs[i], b.us[i], b.ws[i]})
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].src != recs[j].src {
-			return recs[i].src < recs[j].src
-		}
-		return recs[i].dst < recs[j].dst
-	})
-	// Merge duplicates in place.
-	out := recs[:0]
-	for _, r := range recs {
-		if len(out) > 0 && out[len(out)-1].src == r.src && out[len(out)-1].dst == r.dst {
-			out[len(out)-1].w += r.w
-			continue
-		}
-		out = append(out, r)
-	}
-	recs = out
-
-	g := &Graph{
-		xadj: make([]int32, n+1),
-		adj:  make([]int32, len(recs)),
-		ew:   make([]int64, len(recs)),
-		vw:   b.vw,
-		m:    len(recs) / 2,
-	}
+	g := &Graph{xadj: make([]int32, n+1), vw: b.vw}
 	if g.vw == nil {
 		g.vw = make([]int64, n)
 		for i := range g.vw {
 			g.vw[i] = 1
 		}
 	}
-	for i, r := range recs {
-		g.xadj[r.src+1]++
-		g.adj[i] = r.dst
-		g.ew[i] = r.w
+	for _, w := range g.vw {
+		g.tvw += w
+	}
+
+	// bucket[start[s]:start[s+1]] lists the edges at s in insertion
+	// order; u^v^s is the other endpoint of edge {u, v} at s.
+	start := make([]int32, n+1)
+	for i, u := range b.us {
+		start[u+1]++
+		start[b.vs[i]+1]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	next := make([]int32, n)
+	copy(next, start)
+	bucket := make([]int32, 2*len(b.us))
+	for i, u := range b.us {
+		v := b.vs[i]
+		bucket[next[u]] = int32(i)
+		next[u]++
+		bucket[next[v]] = int32(i)
+		next[v]++
+		g.tew += b.ws[i]
+	}
+
+	// Count each row's distinct neighbors: last[d] is the latest source
+	// appended to row d.
+	last := next
+	for d := range last {
+		last[d] = -1
+	}
+	for s := int32(0); s < int32(n); s++ {
+		for _, i := range bucket[start[s]:start[s+1]] {
+			if d := b.us[i] ^ b.vs[i] ^ s; last[d] != s {
+				last[d] = s
+				g.xadj[d+1]++
+			}
+		}
 	}
 	for v := 0; v < n; v++ {
 		g.xadj[v+1] += g.xadj[v]
 	}
-	for _, w := range g.vw {
-		g.tvw += w
-	}
-	for i, r := range recs {
-		if r.src < r.dst {
-			g.tew += g.ew[i]
+
+	h := g.xadj[n]
+	g.adj, g.ew, g.m = make([]int32, h), make([]int64, h), int(h)/2
+	copy(next, g.xadj)
+	for s := int32(0); s < int32(n); s++ {
+		for _, i := range bucket[start[s]:start[s+1]] {
+			d := b.us[i] ^ b.vs[i] ^ s
+			if p := next[d]; p > g.xadj[d] && g.adj[p-1] == s {
+				g.ew[p-1] += b.ws[i]
+			} else {
+				g.adj[p], g.ew[p] = s, b.ws[i]
+				next[d] = p + 1
+			}
 		}
 	}
 	return g

@@ -36,7 +36,7 @@ func (g *Graph) InducedSubgraph(vertices []int32) (*Graph, []int32) {
 // increasing: the old→new renumbering is then monotone, so copying each
 // CSR row in order yields the same sorted adjacency Builder would
 // produce, making the result byte-equivalent to InducedSubgraph without
-// the O(m log m) construction sort or any steady-state allocation.
+// Builder's bucketing and transposition or any steady-state allocation.
 //
 // dst aliases caller-owned storage and is overwritten by the next call
 // into it; it must not be retained beyond that.

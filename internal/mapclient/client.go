@@ -15,10 +15,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand/v2"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -234,7 +234,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // SubmitJob submits a job spec and returns the accepted job snapshot
 // (status queued, or done when the server dedup-served it).
 func (c *Client) SubmitJob(ctx context.Context, spec engine.JobSpec) (engine.Job, error) {
-	body, err := json.Marshal(spec)
+	body, err := engine.MarshalSpec(spec)
 	if err != nil {
 		return engine.Job{}, err
 	}
@@ -288,46 +288,58 @@ func (c *Client) Stats(ctx context.Context) (map[string]any, error) {
 	return out, err
 }
 
-// RunBatch expands the batch client-side (engine.ExpandBatch), submits
-// every spec through the retry loop, and waits for all of them,
-// returning final snapshots in fan-out order. Submissions run a few at
-// a time so a large batch does not open hundreds of sockets; waits run
-// fully concurrently because parked ?wait=1 polls are cheap. The first
-// error aborts outstanding work and is returned.
+// maxBatchJobs caps the jobs RunBatch expands a batch into. It is the
+// router's default retention window (fleet.Config.RetainJobs), past
+// which a router forgets a batch's first job IDs before they are
+// collected.
+const maxBatchJobs = 4096
+
+// batchWorkers is how many of a batch's jobs RunBatch keeps in flight.
+const batchWorkers = 8
+
+// RunBatch expands the batch client-side (engine.ExpandBatch), refusing
+// a batch of more than 4096 jobs before sending anything, and runs its
+// specs on at most 8 workers: each submits a spec through the retry
+// loop and waits for that job before taking the next. It returns final
+// snapshots in fan-out order. The first error aborts outstanding work
+// and is returned.
 func (c *Client) RunBatch(ctx context.Context, b engine.BatchSpec) ([]engine.Job, error) {
-	specs, err := engine.ExpandBatch(b, math.MaxInt)
+	specs, err := engine.ExpandBatch(b, maxBatchJobs)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	jobs := make([]engine.Job, len(specs))
-	errs := make(chan error, len(specs))
-	sem := make(chan struct{}, 8)
-	for i, spec := range specs {
-		go func(i int, spec engine.JobSpec) {
-			sem <- struct{}{}
-			job, err := c.SubmitJob(ctx, spec)
-			<-sem
-			if err == nil && job.Status != engine.StatusDone && job.Status != engine.StatusFailed {
-				job, err = c.WaitJob(ctx, job.ID)
+	todo := make(chan int, len(specs))
+	for i := range specs {
+		todo <- i
+	}
+	close(todo)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for range min(batchWorkers, len(specs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range todo {
+				job, jerr := c.SubmitJob(ctx, specs[i])
+				if jerr == nil && job.Status != engine.StatusDone && job.Status != engine.StatusFailed {
+					job, jerr = c.WaitJob(ctx, job.ID)
+				}
+				if jerr != nil {
+					mu.Lock()
+					if err == nil {
+						err = fmt.Errorf("mapclient: batch spec %d: %w", i, jerr)
+					}
+					mu.Unlock()
+					cancel()
+					return
+				}
+				jobs[i] = job
 			}
-			if err != nil {
-				cancel()
-				errs <- fmt.Errorf("mapclient: batch spec %d: %w", i, err)
-				return
-			}
-			jobs[i] = job
-			errs <- nil
-		}(i, spec)
+		}()
 	}
-	for range specs {
-		if e := <-errs; e != nil && err == nil {
-			err = e
-		}
-	}
-	if err != nil {
-		return jobs, err
-	}
-	return jobs, nil
+	wg.Wait()
+	return jobs, err
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -263,5 +266,89 @@ func TestWaitJobPollsUntilTerminal(t *testing.T) {
 	}
 	if got := polls.Load(); got < 3 {
 		t.Errorf("server saw %d polls, want ≥ 3", got)
+	}
+}
+
+// TestRunBatchRefusesOversizedBatch: a batch beyond the 4096-job cap is
+// refused before any request goes out, including one whose job count
+// (4 × 2^60) no slice could hold.
+func TestRunBatchRefusesOversizedBatch(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, `{"error":"unexpected"}`, http.StatusTeapot)
+	}))
+	defer srv.Close()
+
+	gs := engine.GraphSpec{Network: "p2p-Gnutella", Scale: 0.05, Seed: 11}
+	c := New(srv.URL, fastCfg())
+	for name, b := range map[string]engine.BatchSpec{
+		"cap+1":  {Graphs: []engine.GraphSpec{gs}, Topologies: []string{"grid:4x4"}, Reps: maxBatchJobs + 1},
+		"4×2^60": {Graphs: []engine.GraphSpec{gs, gs, gs, gs}, Topologies: []string{"grid:4x4"}, Reps: 1 << 60},
+	} {
+		jobs, err := c.RunBatch(context.Background(), b)
+		if err == nil || !strings.Contains(err.Error(), "retention window of 4096 jobs") || jobs != nil {
+			t.Errorf("%s: RunBatch = %d jobs, %v; want a refusal naming the 4096-job window", name, len(jobs), err)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("refused batches sent %d requests", n)
+	}
+}
+
+// TestRunBatchBoundsRequestsInFlight runs a 40-job batch against a
+// server that holds every wait open for a while, and requires that no
+// more than 8 requests are ever in flight at once and that the results
+// come back in fan-out order.
+func TestRunBatchBoundsRequestsInFlight(t *testing.T) {
+	var inFlight, peak, ids atomic.Int64
+	var seeds sync.Map // job ID -> submitted seed
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		if r.Method == http.MethodPost {
+			var spec engine.JobSpec
+			if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+				http.Error(w, `{"error":"bad spec"}`, http.StatusBadRequest)
+				return
+			}
+			id := fmt.Sprintf("job-%06d", ids.Add(1))
+			seeds.Store(id, spec.Seed)
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(engine.Job{ID: id, Status: engine.StatusQueued})
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+		id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
+		seed, _ := seeds.Load(id)
+		json.NewEncoder(w).Encode(engine.Job{ID: id, Status: engine.StatusDone, Spec: engine.JobSpec{Seed: seed.(int64)}})
+	}))
+	defer srv.Close()
+
+	b := engine.BatchSpec{
+		Graphs:     []engine.GraphSpec{{Network: "p2p-Gnutella", Scale: 0.05, Seed: 11}},
+		Topologies: []string{"grid:4x4", "grid:2x2"},
+		Reps:       20,
+	}
+	specs, err := engine.ExpandBatch(b, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := New(srv.URL, fastCfg()).RunBatch(context.Background(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 40 {
+		t.Fatalf("RunBatch returned %d jobs, want 40", len(jobs))
+	}
+	for i, job := range jobs {
+		if job.Status != engine.StatusDone || job.Spec.Seed != specs[i].Seed {
+			t.Errorf("job %d: status %s seed %d, want done with seed %d", i, job.Status, job.Spec.Seed, specs[i].Seed)
+		}
+	}
+	if p := peak.Load(); p > 8 {
+		t.Errorf("%d requests in flight at once, want at most 8", p)
 	}
 }

@@ -171,3 +171,23 @@ func meanClustering(g interface {
 	}
 	return sum / float64(count)
 }
+
+// BenchmarkGenerate generates three catalog networks, one R-MAT and two
+// BA; each is built twice, the second time as its largest component.
+func BenchmarkGenerate(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		scale float64
+	}{{"p2p-Gnutella", 0.5}, {"PGPgiantcompo", 0.1}, {"as-22july06", 0.2}} {
+		spec, err := ByName(c.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				spec.Generate(c.scale, 3)
+			}
+		})
+	}
+}
