@@ -23,18 +23,18 @@
 //	mapbench -smoke -graph ca-GrQc.txt -graph-lcc   # largest component only
 //
 // Probe the serving features. Each probe computes a reference for its
-// job set with Engine.Run on a fresh engine with the artifact cache
-// off, re-runs the set under one perturbation, and fails unless every
-// result equals the reference after JobResult.StripPerf. -wide runs one
-// big job sequentially and then wide on an idle pool (perf.wide_speedup,
-// perf.wide_width); -warm runs a job set cold and again on a restarted
-// engine sharing the cache directory (perf.warm_speedup,
-// perf.disk_hit_rate); -restart drains an engine mid-batch and recovers
-// it from its job ledger (perf.jobs_recovered, perf.dedup_served);
-// -fleet runs a job set through maprouter over 1 and 3 in-process mapd
-// replicas and once more with a replica killed mid-batch
-// (perf.fleet_speedup, perf.failovers). The harness is probe.go; see
-// "The benchmark harness" in DESIGN.md:
+// job set with Engine.Run on a fresh default engine, re-runs the set
+// under one perturbation, and fails unless the perturbation took effect
+// and every result equals the reference after JobResult.StripPerf. The
+// probes record counts, not timings. -wide runs one big job wide on an
+// idle pool and fails below width 2 (perf.wide_width); -warm runs a job
+// set cold and again on a restarted engine sharing the cache directory
+// and fails without disk hits (perf.disk_hit_rate); -restart drains an
+// engine mid-batch and recovers it from its job ledger
+// (perf.jobs_recovered, perf.dedup_served); -fleet runs a job set
+// through maprouter over 3 in-process mapd replicas, kills one
+// mid-batch and fails without a failover (perf.failovers). The harness
+// is probe.go; see "The benchmark harness" in DESIGN.md:
 //
 //	mapbench -smoke -seed 1 -wide -warm -restart -fleet
 //
@@ -250,21 +250,18 @@ func printSummary(r *bench.Results) {
 			r.Perf.NsPerJob, r.Perf.AllocsPerJob, r.Perf.BytesPerJob)
 		fmt.Printf("  artifact hit rate %.2f   partitions %d computed / %d reused\n",
 			r.Perf.ArtifactHitRate, r.Perf.PartitionsComputed, r.Perf.PartitionsReused)
-		if r.Perf.WideSpeedup > 0 {
-			fmt.Printf("  wide probe: %.2fx speedup at width %d\n",
-				r.Perf.WideSpeedup, r.Perf.WideWidth)
+		if r.Perf.WideWidth > 0 {
+			fmt.Printf("  wide probe: byte-identical at width %d\n", r.Perf.WideWidth)
 		}
-		if r.Perf.WarmSpeedup > 0 {
-			fmt.Printf("  warm probe: %.2fx restart speedup, disk hit rate %.2f\n",
-				r.Perf.WarmSpeedup, r.Perf.DiskHitRate)
+		if r.Perf.DiskHitRate > 0 {
+			fmt.Printf("  warm probe: restart byte-identical, disk hit rate %.2f\n", r.Perf.DiskHitRate)
 		}
 		if r.Perf.JobsRecovered > 0 {
 			fmt.Printf("  restart probe: %d jobs recovered byte-identical, %d duplicates ledger-served\n",
 				r.Perf.JobsRecovered, r.Perf.DedupServed)
 		}
-		if r.Perf.FleetSpeedup > 0 {
-			fmt.Printf("  fleet probe: %.2fx fleet speedup, %d failovers survived byte-identical\n",
-				r.Perf.FleetSpeedup, r.Perf.Failovers)
+		if r.Perf.Failovers > 0 {
+			fmt.Printf("  fleet probe: %d failovers survived byte-identical\n", r.Perf.Failovers)
 		}
 	}
 	// Base-vs-enhancement split: the two stages this repository's hot

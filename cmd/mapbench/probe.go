@@ -14,14 +14,13 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/mapclient"
 	"repro/internal/mapdsrv"
-	"repro/internal/netgen"
 )
 
-// A probe proves that one serving feature leaves every mapping
-// unchanged while it measures what the feature buys. runProbe owns the
-// steps all probes share, so a probe is only its job set and its
-// perturbation: what it runs, what it times, which checks of its own it
-// makes and which perf.* columns it writes.
+// A probe proves that one serving feature took effect and left every
+// mapping unchanged. It times nothing: speed claims come from
+// perfbench's repeated runs. runProbe owns the steps all probes share,
+// so a probe is only its job set and its perturbation: what it runs,
+// which checks of its own it makes and which perf.* counts it writes.
 type probe struct {
 	name  string // the mapbench flag that selects the probe
 	usage string
@@ -29,19 +28,19 @@ type probe struct {
 	jobs func(seed int64) []engine.JobSpec
 	// perturb runs the job set under the perturbation, hands every
 	// result set it produces to r.check, writes the probe's perf.*
-	// columns and returns a one-line summary.
+	// counts and returns a one-line summary.
 	perturb func(r *probeRun) (string, error)
 }
 
 // probes are mapbench's probes, in the order they run.
 var probes = []probe{
-	{"wide", "also run the wide-mode probe (one big job, sequential vs wide on an idle pool; records perf.wide_speedup and perf.wide_width)",
+	{"wide", "also run the wide-mode probe (one big job run wide on an idle pool; records perf.wide_width)",
 		wideJobs, runWide},
-	{"warm", "also run the warm-restart probe (same jobs, cold vs restarted engine on a shared cache dir; records perf.warm_speedup and perf.disk_hit_rate)",
+	{"warm", "also run the warm-restart probe (same jobs, cold vs restarted engine on a shared cache dir; records perf.disk_hit_rate)",
 		warmJobs, runWarm},
 	{"restart", "also run the crash-restart probe (engine drained mid-batch, recovered from its job ledger; records perf.jobs_recovered and perf.dedup_served)",
 		gnutellaJobs, runRestart},
-	{"fleet", "also run the fleet probe (jobs through maprouter over 1 vs 3 replicas, then with a replica killed mid-batch; records perf.fleet_speedup and perf.failovers)",
+	{"fleet", "also run the fleet probe (jobs through maprouter over 3 replicas, one killed mid-batch; records perf.failovers)",
 		gnutellaJobs, runFleet},
 }
 
@@ -59,13 +58,10 @@ type probeRun struct {
 // computes the reference with Engine.Run on a fresh default engine,
 // runs the perturbation, and fails unless every result set the
 // perturbation produced equals the reference after JobResult.StripPerf.
-// A perturbation that changed the answer measured nothing worth
-// reporting.
 func runProbe(p probe, seed int64, workers int, perf *bench.RunPerf, progress func(string)) error {
 	if seed == 0 {
 		seed = 1
 	}
-	t0 := time.Now()
 	r := &probeRun{specs: p.jobs(seed), workers: workers, perf: perf}
 	ref := engine.New(engine.Options{Workers: 1})
 	for _, spec := range r.specs {
@@ -92,8 +88,8 @@ func runProbe(p probe, seed int64, workers int, perf *bench.RunPerf, progress fu
 		return fmt.Errorf("%s probe: %w", p.name, err)
 	}
 	if progress != nil {
-		progress(fmt.Sprintf("%s probe: %s; %d result sets byte-identical to the reference (%.1fs)",
-			p.name, summary, r.checked, time.Since(t0).Seconds()))
+		progress(fmt.Sprintf("%s probe: %s; %d result sets byte-identical to the reference",
+			p.name, summary, r.checked))
 	}
 	return nil
 }
@@ -113,18 +109,6 @@ func (r *probeRun) check(run string, got []engine.JobResult) error {
 	}
 	r.checked++
 	return nil
-}
-
-// measure runs one perturbed pass, checks its results and returns them
-// with the pass's wall time in seconds.
-func (r *probeRun) measure(run string, pass func() ([]engine.JobResult, error)) ([]engine.JobResult, float64, error) {
-	t0 := time.Now()
-	got, err := pass()
-	sec := time.Since(t0).Seconds()
-	if err != nil {
-		return nil, 0, fmt.Errorf("%s: %w", run, err)
-	}
-	return got, sec, r.check(run, got)
 }
 
 // jobQueue is where a probe submits jobs: an engine, or a fleet through
@@ -185,70 +169,27 @@ func wideJobs(seed int64) []engine.JobSpec {
 	}}
 }
 
-// runWide times Engine.Run, which never widens, against a Wide
-// submission of the same job, each on its own fresh and otherwise idle
-// engine. The graph is generated up front so netgen time is excluded,
-// and an untimed NH-4 warm-up with another seed fills each engine's
-// scratch pools and helper tokens without caching the timed job's
-// partition.
+// runWide submits the job with JobSpec.Wide to a fresh engine and
+// fails unless the job reached width 2 or more: a job no helper ever
+// joined proves nothing about wide mode. The reference, Engine.Run,
+// never widens, so a pass shows that widening changed no byte.
 func runWide(r *probeRun) (string, error) {
-	spec := r.specs[0]
-	gen, err := netgen.ByName(spec.Graph.Network)
-	if err != nil {
-		return "", err
-	}
-	spec.Graph.G = gen.Generate(spec.Graph.Scale, spec.Seed)
-	warmUp := spec
-	warmUp.NumHierarchies = 4
-	warmUp.Seed++
-	_, seqSec, err := r.timeFresh("sequential run", warmUp, spec, sequentialPass)
-	if err != nil {
-		return "", err
-	}
-	got, wideSec, err := r.timeFresh("wide run", warmUp, spec, widePass)
-	if err != nil {
-		return "", err
-	}
-	r.perf.WideSpeedup = seqSec / wideSec
-	r.perf.WideWidth = got.Width
-	return fmt.Sprintf("seq %.2fs, wide %.2fs -> speedup %.2fx at width %d",
-		seqSec, wideSec, r.perf.WideSpeedup, r.perf.WideWidth), nil
-}
-
-// sequentialPass runs s with Engine.Run, which never widens.
-func sequentialPass(eng *engine.Engine, s engine.JobSpec) ([]engine.JobResult, error) {
-	res, err := eng.Run(s)
-	if err != nil {
-		return nil, err
-	}
-	return []engine.JobResult{*res}, nil
-}
-
-// widePass submits s as a Wide job and waits for it.
-func widePass(eng *engine.Engine, s engine.JobSpec) ([]engine.JobResult, error) {
-	s.Wide = true
-	return runJobs(eng, []engine.JobSpec{s})
-}
-
-// timeFresh runs warmUp untimed and then times spec, both through pass
-// on one fresh engine, and checks the timed result. A timed result
-// whose partition was served from the artifact cache timed no
-// partitioning, so it is an error.
-func (r *probeRun) timeFresh(run string, warmUp, spec engine.JobSpec,
-	pass func(*engine.Engine, engine.JobSpec) ([]engine.JobResult, error)) (engine.JobResult, float64, error) {
-	eng := engine.New(engine.Options{Workers: r.workers, QueueCap: 4})
+	eng := engine.New(engine.Options{Workers: r.workers})
 	defer eng.Close()
-	if _, err := pass(eng, warmUp); err != nil {
-		return engine.JobResult{}, 0, fmt.Errorf("%s: warm-up: %w", run, err)
-	}
-	got, sec, err := r.measure(run, func() ([]engine.JobResult, error) { return pass(eng, spec) })
+	spec := r.specs[0]
+	spec.Wide = true
+	got, err := runJobs(eng, []engine.JobSpec{spec})
 	if err != nil {
-		return engine.JobResult{}, 0, err
+		return "", fmt.Errorf("wide run: %w", err)
 	}
-	if got[0].PartitionReused {
-		return engine.JobResult{}, 0, fmt.Errorf("%s: the partition was served from the artifact cache, so the run timed no partitioning", run)
+	if err := r.check("wide run", got); err != nil {
+		return "", err
 	}
-	return got[0], sec, nil
+	if w := got[0].Width; w < 2 {
+		return "", fmt.Errorf("wide run: the job reached width %d, want at least 2", w)
+	}
+	r.perf.WideWidth = got[0].Width
+	return fmt.Sprintf("width %d", r.perf.WideWidth), nil
 }
 
 // warmJobs is the smoke networks at half scale on two topologies, three
@@ -276,21 +217,22 @@ func warmJobs(seed int64) []engine.JobSpec {
 	return specs
 }
 
-// runWarm times a cold engine on an empty cache directory against a
-// freshly constructed engine on the now populated directory: a service
-// restart in miniature, whose memory tiers start empty. Each engine is
-// closed before the next starts, so its write-through snapshots are on
-// disk.
+// runWarm runs the job set on a cold engine with an empty cache
+// directory, then on a freshly constructed engine on the now populated
+// directory: a service restart in miniature, whose memory tiers start
+// empty. Each engine is closed before the next starts, so its
+// write-through snapshots are on disk.
 func runWarm(r *probeRun) (string, error) {
-	var secs [2]float64
 	var disk [2]engine.DiskStats
 	for i, run := range []string{"cold run", "warm run"} {
 		eng := engine.New(engine.Options{Workers: r.workers, CacheDir: r.dir})
-		var err error
-		_, secs[i], err = r.measure(run, func() ([]engine.JobResult, error) { return runJobs(eng, r.specs) })
+		got, err := runJobs(eng, r.specs)
 		st := eng.Stats()
 		eng.Close()
 		if err != nil {
+			return "", fmt.Errorf("%s: %w", run, err)
+		}
+		if err := r.check(run, got); err != nil {
 			return "", err
 		}
 		if st.Artifacts.Disk == nil {
@@ -306,10 +248,9 @@ func runWarm(r *probeRun) (string, error) {
 		return "", fmt.Errorf("warm run had zero disk hits (%d misses, %d verify failures): the restart stayed cold",
 			warm.Misses, warm.VerifyFailures)
 	}
-	r.perf.WarmSpeedup = secs[0] / secs[1]
 	r.perf.DiskHitRate = warm.HitRate()
-	return fmt.Sprintf("cold %.2fs, warm %.2fs -> speedup %.2fx, disk hit rate %.0f%%",
-		secs[0], secs[1], r.perf.WarmSpeedup, 100*r.perf.DiskHitRate), nil
+	return fmt.Sprintf("warm run's disk hit rate %.0f%% (%d hits, %d misses)",
+		100*r.perf.DiskHitRate, warm.Hits, warm.Misses), nil
 }
 
 // gnutellaJobs is eight generated-graph jobs with distinct seeds on two
@@ -391,32 +332,15 @@ func runRestart(r *probeRun) (string, error) {
 		r.perf.JobsRecovered, len(ids), r.perf.DedupServed, st.JobStore.WALRecords), nil
 }
 
-// fleetReplicas sizes the fleet probe's full fleet.
+// fleetReplicas sizes the fleet probe's fleet.
 const fleetReplicas = 3
 
-// runFleet times the job set through the router over one replica
-// against the router over fleetReplicas replicas: same protocol, same
-// router overhead, only the replica count differs. Then it runs the set
-// once more on a fresh full fleet and kills the first spec's home
-// replica right after submission; the router must move that replica's
-// jobs with no client-visible error.
+// runFleet runs the job set through the router over fleetReplicas
+// replicas and kills the first spec's home replica right after
+// submission; the router must move that replica's jobs with no
+// client-visible error.
 func runFleet(r *probeRun) (string, error) {
-	var secs [2]float64
-	for i, n := range []int{1, fleetReplicas} {
-		f, err := startFleet(n)
-		if err != nil {
-			return "", err
-		}
-		_, secs[i], err = r.measure(fmt.Sprintf("%d-replica run", n), func() ([]engine.JobResult, error) {
-			return runJobs(f, r.specs)
-		})
-		f.close()
-		if err != nil {
-			return "", err
-		}
-	}
-
-	f, err := startFleet(fleetReplicas)
+	f, err := startFleet()
 	if err != nil {
 		return "", err
 	}
@@ -440,10 +364,8 @@ func runFleet(r *probeRun) (string, error) {
 	if f.rt.Failovers() == 0 {
 		return "", fmt.Errorf("chaos run: the kill caused no failover")
 	}
-	r.perf.FleetSpeedup = secs[0] / secs[1]
 	r.perf.Failovers = f.rt.Failovers()
-	return fmt.Sprintf("1 replica %.2fs, %d replicas %.2fs -> speedup %.2fx; the kill cost %d failovers, %d requeues",
-		secs[0], fleetReplicas, secs[1], r.perf.FleetSpeedup, r.perf.Failovers, f.rt.Requeues()), nil
+	return fmt.Sprintf("the kill cost %d failovers, %d requeues", r.perf.Failovers, f.rt.Requeues()), nil
 }
 
 // probeFleet is an in-process fleet: single-worker replicas serving the
@@ -456,7 +378,7 @@ type probeFleet struct {
 	client  *mapclient.Client
 }
 
-func startFleet(n int) (_ *probeFleet, err error) {
+func startFleet() (_ *probeFleet, err error) {
 	f := &probeFleet{servers: make(map[string]*http.Server)}
 	defer func() {
 		if err != nil {
@@ -464,7 +386,7 @@ func startFleet(n int) (_ *probeFleet, err error) {
 		}
 	}()
 	var urls []string
-	for i := 0; i < n; i++ {
+	for i := 0; i < fleetReplicas; i++ {
 		eng := engine.New(engine.Options{Workers: 1})
 		f.engines = append(f.engines, eng)
 		url, err := f.serve(mapdsrv.New(eng, mapdsrv.Config{}))
@@ -486,15 +408,16 @@ func startFleet(n int) (_ *probeFleet, err error) {
 	}
 	f.client = mapclient.New(url, mapclient.Config{AttemptTimeout: 5 * time.Minute})
 
-	// Wait for every replica's first health verdict before timing anything.
+	// Wait for every replica's first health verdict, so the router places
+	// the jobs by their home replicas.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st, err := f.client.Stats(context.Background())
-		if err == nil && st["usable"] == float64(n) {
+		if err == nil && st["usable"] == float64(fleetReplicas) {
 			return f, nil
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("%d-replica fleet never became usable (stats %v, %v)", n, st, err)
+			return nil, fmt.Errorf("%d-replica fleet never became usable (stats %v, %v)", fleetReplicas, st, err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -54,7 +54,6 @@ func main() {
 		queue     = flag.Int("queue", 0, "job queue capacity (0 = default)")
 		prewarm   = flag.String("prewarm", "", "comma-separated topology specs to build at boot ('paper' = the paper's five)")
 		withPprof = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-		wideThr   = flag.Float64("wide-threshold", 0, "pool-occupancy fraction below which jobs widen onto idle workers (0 = default 0.5, negative = only jobs with \"wide\": true)")
 		maxUpload = flag.Int64("max-upload", 0, "request-body / graph-upload size cap in bytes (0 = default 64 MiB)")
 		cacheDir  = flag.String("cache-dir", "", "directory of the persistent artifact tier (empty = memory-only; restarts with the same dir are served from disk snapshots)")
 		cacheDisk = flag.Int64("cache-disk-bytes", 0, "byte budget of the disk tier's LRU sweep (0 = default 2 GiB)")
@@ -77,7 +76,7 @@ func main() {
 		}
 	}
 	eng := engine.New(engine.Options{
-		Workers: *workers, QueueCap: *queue, WideThreshold: *wideThr,
+		Workers: *workers, QueueCap: *queue,
 		CacheDir: *cacheDir, DiskCacheBytes: *cacheDisk, JobDir: *jobDir,
 	})
 	if st := eng.Stats().JobStore; st != nil {

@@ -132,21 +132,18 @@ type RunPerf struct {
 	ArtifactHitRate    float64 `json:"artifact_hit_rate"`
 	PartitionsComputed int     `json:"partitions_computed"`
 	PartitionsReused   int     `json:"partitions_reused"`
-	// The probe fields are written by cmd/mapbench's probe harness when
-	// the run included that probe, and are zero otherwise. Every probe
-	// first proves its results equal a reference after StripPerf, so
-	// these are statements about runs that kept quality byte-identical.
+	// The probe fields are counts written by cmd/mapbench's probe
+	// harness when the run included that probe, and are zero otherwise.
+	// Every probe first proves its results equal a reference after
+	// StripPerf, so these are statements about runs that kept quality
+	// byte-identical.
 	//
-	// WideSpeedup and WideWidth (mapbench -wide): the sequential/wide
-	// wall-clock ratio of one big job on an idle pool and the width that
-	// job reached.
-	WideSpeedup float64 `json:"wide_speedup,omitempty"`
-	WideWidth   int     `json:"wide_width,omitempty"`
-	// WarmSpeedup and DiskHitRate (mapbench -warm): the cold/warm
-	// wall-clock ratio of one job set re-run by a restarted engine on a
-	// shared cache directory, and the fraction of the warm run's disk
-	// lookups served from verified snapshot files.
-	WarmSpeedup float64 `json:"warm_speedup,omitempty"`
+	// WideWidth (mapbench -wide): the width one big job reached on an
+	// idle pool, at least 2.
+	WideWidth int `json:"wide_width,omitempty"`
+	// DiskHitRate (mapbench -warm): the fraction of a restarted engine's
+	// disk lookups served from verified snapshot files when it re-ran
+	// one job set on a shared cache directory.
 	DiskHitRate float64 `json:"disk_hit_rate,omitempty"`
 	// JobsRecovered and DedupServed (mapbench -restart): how many jobs a
 	// restarted engine requeued from the job ledger after a drain, and
@@ -154,11 +151,9 @@ type RunPerf struct {
 	// recomputing.
 	JobsRecovered int   `json:"jobs_recovered,omitempty"`
 	DedupServed   int64 `json:"dedup_served,omitempty"`
-	// Failovers and FleetSpeedup (mapbench -fleet): how many jobs the
-	// router moved off a killed replica, and the wall-time ratio of the
-	// one-replica run to the three-replica run of the same job set.
-	Failovers    int64   `json:"failovers,omitempty"`
-	FleetSpeedup float64 `json:"fleet_speedup,omitempty"`
+	// Failovers (mapbench -fleet): how many jobs the router moved off a
+	// killed replica.
+	Failovers int64 `json:"failovers,omitempty"`
 }
 
 // Results is the machine-readable outcome of one matrix run — the

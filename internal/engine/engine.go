@@ -62,19 +62,7 @@ type Options struct {
 	// whose graph or topology exists only as an in-memory object are
 	// executed but not logged (they have no serializable identity).
 	JobDir string
-	// WideThreshold tunes wide mode (intra-job parallelism; see wide.go):
-	// a job is granted helper goroutines while the rest of the pool's
-	// load — other running jobs plus queued jobs — stays within this
-	// fraction of Workers. Zero selects the default 0.5 (help out while
-	// at least half the pool is idle); a negative value disables
-	// automatic widening, leaving helpers only to jobs that explicitly
-	// set JobSpec.Wide.
-	WideThreshold float64
 }
-
-// defaultWideThreshold is the pool-occupancy fraction below which jobs
-// widen automatically (Options.WideThreshold zero value).
-const defaultWideThreshold = 0.5
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
@@ -572,12 +560,7 @@ func (e *Engine) runGuarded(spec JobSpec, rec *jobRecord, ws *workerScratch) (re
 			res, err = nil, fmt.Errorf("engine: job panicked: %v", r)
 		}
 	}()
-	var st *wideState
-	var spawn func(func()) bool
-	if e.wideEligible(spec) {
-		st = &wideState{}
-		spawn = e.spawnFor(spec.Wide, st)
-	}
+	st := &wideState{}
 	res, err = e.runPipeline(spec, func(name string, seconds float64) {
 		if seconds >= 0 {
 			e.stageMu.Lock()
@@ -591,18 +574,16 @@ func (e *Engine) runGuarded(spec JobSpec, rec *jobRecord, ws *workerScratch) (re
 			rec.job.Stages = append(rec.job.Stages, Stage{Name: name, Seconds: seconds})
 		}
 		rec.mu.Unlock()
-	}, ws, spawn)
-	if st != nil {
-		if g := st.grants.Load(); g > 0 {
-			e.wideGrants.Add(g)
-			e.wideJobs.Add(1)
-		}
-		if perr := st.err(); perr != nil && err == nil {
-			res, err = nil, perr
-		}
-		if res != nil {
-			res.Width = st.width()
-		}
+	}, ws, e.spawnFor(spec.Wide, st))
+	if g := st.grants.Load(); g > 0 {
+		e.wideGrants.Add(g)
+		e.wideJobs.Add(1)
+	}
+	if perr := st.err(); perr != nil && err == nil {
+		res, err = nil, perr
+	}
+	if res != nil {
+		res.Width = st.width()
 	}
 	return res, err
 }

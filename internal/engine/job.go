@@ -262,8 +262,8 @@ type JobSpec struct {
 	// pool occupancy (the engine-wide helper-token budget still applies). Results are
 	// byte-identical to the sequential run — wide mode only changes
 	// wall-clock and the result's Width diagnostic; see wide.go. Without
-	// this flag the engine widens jobs automatically while the pool is
-	// underloaded (Options.WideThreshold).
+	// this flag the engine widens jobs automatically while the rest of
+	// the pool's load stays within half its workers.
 	Wide bool `json:"wide,omitempty"`
 	// IncludeAssignment returns the enhanced mapping itself in the
 	// result (can be large).

@@ -23,10 +23,14 @@ import (
 // the machine beyond the configured pool size. And unless the job set
 // JobSpec.Wide, each grant also checks pool occupancy: helpers are
 // granted only while (other running jobs + queued jobs) stay within
-// Options.WideThreshold of the pool, so wide execution yields to real
+// wideThreshold of the pool, so wide execution yields to real
 // concurrency the moment traffic arrives. Both checks are per-grant,
 // not per-job: a long wide job narrows mid-flight as load builds and
 // widens again when the pool drains.
+
+// wideThreshold is the pool-occupancy fraction within which jobs widen
+// automatically: help out while at least half the pool is idle.
+const wideThreshold = 0.5
 
 // wideState tracks one job's helper usage; its snapshot becomes the
 // job's Width diagnostic and the engine's wide counters.
@@ -53,18 +57,11 @@ func (st *wideState) err() error {
 
 // underloaded reports whether the pool has idle capacity to lend to a
 // wide job: the jobs competing for workers — every running job except
-// the asking one, plus everything still queued — fit within the
-// threshold fraction of the pool.
+// the asking one, plus everything still queued — fit within
+// wideThreshold of the pool.
 func (e *Engine) underloaded() bool {
-	thr := e.opt.WideThreshold
-	if thr < 0 {
-		return false
-	}
-	if thr == 0 {
-		thr = defaultWideThreshold
-	}
 	others := e.running.Load() - 1 + int64(len(e.pending))
-	return float64(others) <= thr*float64(e.opt.Workers)
+	return float64(others) <= wideThreshold*float64(e.opt.Workers)
 }
 
 // spawnFor returns the Spawn hook handed to one job's pipeline stages.
@@ -105,11 +102,4 @@ func (e *Engine) spawnFor(force bool, st *wideState) func(func()) bool {
 		}()
 		return true
 	}
-}
-
-// wideEligible reports whether the job should get a Spawn hook at all:
-// either it asked (Spec.Wide) or auto-wide is enabled (WideThreshold
-// not negative).
-func (e *Engine) wideEligible(spec JobSpec) bool {
-	return spec.Wide || e.opt.WideThreshold >= 0
 }

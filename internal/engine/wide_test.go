@@ -89,3 +89,46 @@ func ringEdges(n int) [][3]int64 {
 	}
 	return edges
 }
+
+// TestAutoWideGrantPolicy pins the occupancy check of a job that did
+// not set JobSpec.Wide: on a 4-worker pool it may borrow helpers while
+// at most 2 other jobs run or wait, and not with 3. An unforced job on
+// an idle pool therefore widens.
+func TestAutoWideGrantPolicy(t *testing.T) {
+	busy := &Engine{opt: Options{Workers: 4}, pending: make(chan *jobRecord, 2)}
+	busy.running.Store(2) // the asking job and one other
+	busy.pending <- &jobRecord{}
+	if !busy.underloaded() {
+		t.Error("a 4-worker pool with 2 other jobs is not underloaded")
+	}
+	busy.pending <- &jobRecord{}
+	if busy.underloaded() {
+		t.Error("a 4-worker pool with 3 other jobs is underloaded")
+	}
+
+	e := New(Options{Workers: 4})
+	defer e.Close()
+	job, err := e.Submit(JobSpec{
+		Graph:          GraphSpec{Network: "p2p-Gnutella", Scale: 0.1},
+		Topology:       "grid:4x4",
+		Case:           C2Identity,
+		NumHierarchies: 4,
+		Seed:           1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := e.Wait(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.Status != StatusDone {
+		t.Fatalf("job %s: %s", fin.Status, fin.Error)
+	}
+	if fin.Result.Width < 2 {
+		t.Errorf("an unforced job on an idle pool reached width %d, want at least 2", fin.Result.Width)
+	}
+	if st := e.Stats(); st.WideJobs != 1 || st.WideGrants == 0 {
+		t.Errorf("stats counted %d wide jobs and %d grants, want 1 job and some grants", st.WideJobs, st.WideGrants)
+	}
+}
