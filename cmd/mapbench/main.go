@@ -22,22 +22,6 @@
 //	mapbench -smoke -graph ca-GrQc.txt -graph web-Google.mtx
 //	mapbench -smoke -graph ca-GrQc.txt -graph-lcc   # largest component only
 //
-// Probe the serving features. Each probe computes a reference for its
-// job set with Engine.Run on a fresh default engine, re-runs the set
-// under one perturbation, and fails unless the perturbation took effect
-// and every result equals the reference after JobResult.StripPerf. The
-// probes record counts, not timings. -wide runs one big job wide on an
-// idle pool and fails below width 2 (perf.wide_width); -warm runs a job
-// set cold and again on a restarted engine sharing the cache directory
-// and fails without disk hits (perf.disk_hit_rate); -restart drains an
-// engine mid-batch and recovers it from its job ledger
-// (perf.jobs_recovered, perf.dedup_served); -fleet runs a job set
-// through maprouter over 3 in-process mapd replicas, kills one
-// mid-batch and fails without a failover (perf.failovers). The harness
-// is probe.go; see "The benchmark harness" in DESIGN.md:
-//
-//	mapbench -smoke -seed 1 -wide -warm -restart -fleet
-//
 // Render the paper's Tables 1-3 and Figures 5a-5d (Section 7) for a
 // fresh run or a results file:
 //
@@ -51,7 +35,10 @@
 //
 // The -diff form compares two existing result files without running
 // anything. Quality metrics are deterministic for a fixed matrix and
-// seed; performance fields are reported but never gated.
+// seed; performance fields are reported but never gated. That wide
+// mode, the disk tier, the job ledger and the fleet router change no
+// mapping is proved by tests, not here; see "The determinism gate" in
+// DESIGN.md.
 package main
 
 import (
@@ -83,10 +70,6 @@ func main() {
 	)
 	var graphs stringList
 	flag.Var(&graphs, "graph", "add a real dataset file (SNAP/Matrix Market/METIS) as matrix cells; repeatable")
-	enabled := make(map[string]*bool, len(probes))
-	for _, p := range probes {
-		enabled[p.name] = flag.Bool(p.name, false, p.usage)
-	}
 	flag.Parse()
 
 	if *list {
@@ -105,14 +88,6 @@ func main() {
 	})
 	if err != nil {
 		fatal(err)
-	}
-
-	for _, p := range probes {
-		if *enabled[p.name] && *diffFile == "" {
-			if err := runProbe(p, *seed, *workers, results.Perf, progress(*quiet)); err != nil {
-				fatal(err)
-			}
-		}
 	}
 
 	if *out != "" {
@@ -250,19 +225,6 @@ func printSummary(r *bench.Results) {
 			r.Perf.NsPerJob, r.Perf.AllocsPerJob, r.Perf.BytesPerJob)
 		fmt.Printf("  artifact hit rate %.2f   partitions %d computed / %d reused\n",
 			r.Perf.ArtifactHitRate, r.Perf.PartitionsComputed, r.Perf.PartitionsReused)
-		if r.Perf.WideWidth > 0 {
-			fmt.Printf("  wide probe: byte-identical at width %d\n", r.Perf.WideWidth)
-		}
-		if r.Perf.DiskHitRate > 0 {
-			fmt.Printf("  warm probe: restart byte-identical, disk hit rate %.2f\n", r.Perf.DiskHitRate)
-		}
-		if r.Perf.JobsRecovered > 0 {
-			fmt.Printf("  restart probe: %d jobs recovered byte-identical, %d duplicates ledger-served\n",
-				r.Perf.JobsRecovered, r.Perf.DedupServed)
-		}
-		if r.Perf.Failovers > 0 {
-			fmt.Printf("  fleet probe: %d failovers survived byte-identical\n", r.Perf.Failovers)
-		}
 	}
 	// Base-vs-enhancement split: the two stages this repository's hot
 	// paths target (PR 3 made TIMER allocation-free; the base stage got

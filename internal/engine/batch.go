@@ -84,10 +84,10 @@ func (b BatchSpec) jobCount(limit int) (jobs, reps int, err error) {
 }
 
 // ExpandBatch expands a batch into its per-job specs without touching
-// an engine: the same fan-out order (graphs outermost, then topologies,
-// then reps) and the same seed algebra (BatchSeed, SharedPartitionSeed,
-// batch seed pinned into every graph spec) as SubmitBatch, but purely —
-// no graph is materialized and no topology is built. Fleet routers use
+// an engine: graphs outermost, then topologies, then reps, each job
+// seeded by BatchSeed (and SharedPartitionSeed), with the batch seed
+// pinned into every graph spec. No graph is materialized and no
+// topology is built. SubmitBatch expands through it; fleet routers use
 // it to scatter a batch across replicas job by job, each routed by its
 // own SpecHash. A batch of more than limit jobs is refused before any
 // spec is built. SkipTooSmall is refused: deciding it needs the
@@ -137,62 +137,46 @@ func ExpandBatch(b BatchSpec, limit int) ([]JobSpec, error) {
 	return specs, nil
 }
 
-// SubmitBatch expands the batch into jobs and enqueues them all,
-// returning the job IDs in fan-out order (graphs outermost, then
-// topologies, then reps). Jobs skipped by SkipTooSmall contribute an
-// empty ID at their position, so the slice shape stays rectangular.
+// SubmitBatch expands the batch into jobs with ExpandBatch and
+// enqueues them all, returning the job IDs in its fan-out order. Jobs
+// skipped by SkipTooSmall contribute an empty ID at their position, so
+// the slice shape stays rectangular. Every graph is resolved before the
+// first job is queued, so a bad graph fails the batch with nothing
+// queued.
 func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 	// A batch larger than the retention window could have its earliest
 	// finished jobs evicted before RunBatch collects them; reject it
-	// outright instead of silently losing results.
-	_, reps, err := b.jobCount(e.opt.RetainJobs)
-	if err != nil {
+	// outright, before materializing anything, instead of silently
+	// losing results.
+	if _, _, err := b.jobCount(e.opt.RetainJobs); err != nil {
 		return nil, err
 	}
 	seed := b.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	var ids []string
-	for _, gs := range b.Graphs {
-		// Every job of a batch must compute on one graph instance:
-		// repetitions vary only the pipeline seed, never the graph (a
-		// netgen spec without an explicit Seed would otherwise generate a
-		// different random graph per rep). Pinning the batch seed into the
-		// spec fixes the instance. Named netgen specs are left
-		// unmaterialized — the workers' first jobs coalesce on one cached
-		// generation under the spec's canonical key, so submission stays
-		// fast even for paper-scale graphs. Inline graphs, and every graph
-		// under SkipTooSmall (which must see the realized size), are
-		// materialized at submit time.
-		if gs.Seed == 0 {
-			gs.Seed = seed
-		}
-		// Ingested references resolve through the registry once, up
-		// front: a bad ref fails the submission, and every job of the
-		// batch computes on the one resident instance.
+	// Every job of a batch must compute on one graph instance.
+	// ExpandBatch pins the batch seed into each graph spec, which fixes a
+	// named netgen instance; such specs stay unmaterialized, so the
+	// workers' first jobs coalesce on one cached generation and
+	// submission stays fast even for paper-scale graphs. Ingested
+	// references resolve through the registry once. Inline graphs, and
+	// every graph under SkipTooSmall (which must see the realized size:
+	// generation keeps only the largest component), are materialized
+	// here through the artifact cache. Each resolved graph is pinned
+	// beside the provenance the ledger logs.
+	pure := b
+	pure.SkipTooSmall = false
+	pure.Graphs = make([]GraphSpec, len(b.Graphs))
+	for i, gs := range b.Graphs {
 		if gs.Ref != "" && gs.G == nil {
 			ga, err := e.GraphByRef(gs.Ref)
 			if err != nil {
-				return ids, err
+				return nil, err
 			}
 			gs.G = ga
 		}
-		// SkipTooSmall needs the realized vertex count (generation keeps
-		// only the largest component, so a predicted size could admit
-		// pairs that then fail instead of skipping), so it forces eager
-		// materialization — still through the artifact cache, so the
-		// instance is shared rather than re-pinned.
-		lazy := gs.G == nil && gs.Network != "" && !b.SkipTooSmall
-		if lazy {
-			// Deferring generation must not defer validation: a typo'd
-			// network name should fail the submission, not expand into a
-			// batch of identically-failing jobs.
-			if _, err := netgen.ByName(gs.Network); err != nil {
-				return ids, err
-			}
-		}
-		if !lazy && gs.G == nil {
+		if gs.G == nil && (gs.Network == "" || b.SkipTooSmall) {
 			var ga *graph.Graph
 			var err error
 			if key := gs.artifactKey(seed); key != "" {
@@ -201,42 +185,33 @@ func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 				ga, err = gs.materialize(seed)
 			}
 			if err != nil {
-				return ids, err
+				return nil, err
 			}
 			gs.G = ga
 		}
-		for _, topoSpec := range b.Topologies {
-			skip := false
-			if b.SkipTooSmall {
-				topo, err := e.cache.Get(topoSpec)
-				if err != nil {
-					return ids, err
-				}
-				skip = gs.G.N() <= topo.P()
+		pure.Graphs[i] = gs
+	}
+	specs, err := ExpandBatch(pure, e.opt.RetainJobs)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]string, 0, len(specs))
+	for _, spec := range specs {
+		if b.SkipTooSmall {
+			topo, err := e.cache.Get(spec.Topology)
+			if err != nil {
+				return ids, err
 			}
-			for rep := 0; rep < reps; rep++ {
-				if skip {
-					ids = append(ids, "")
-					continue
-				}
-				spec := JobSpec{
-					Graph:          gs,
-					Topology:       topoSpec,
-					Case:           b.Case,
-					Epsilon:        b.Epsilon,
-					Seed:           BatchSeed(seed, rep, b.Case),
-					NumHierarchies: b.NumHierarchies,
-				}
-				if b.SharedPartition {
-					spec.PartitionSeed = SharedPartitionSeed(seed, rep)
-				}
-				job, err := e.Submit(spec)
-				if err != nil {
-					return ids, err
-				}
-				ids = append(ids, job.ID)
+			if spec.Graph.G.N() <= topo.P() {
+				ids = append(ids, "")
+				continue
 			}
 		}
+		job, err := e.Submit(spec)
+		if err != nil {
+			return ids, err
+		}
+		ids = append(ids, job.ID)
 	}
 	return ids, nil
 }

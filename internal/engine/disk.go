@@ -349,15 +349,6 @@ type DiskStats struct {
 	Error string `json:"error,omitempty"`
 }
 
-// HitRate is Hits over all disk lookups, or 0 before the first one.
-func (s DiskStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // stats snapshots the tier's counters.
 func (t *diskTier) stats() DiskStats {
 	if t.err != nil {

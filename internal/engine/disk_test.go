@@ -275,7 +275,8 @@ func TestDiskTierSweepEnforcesByteBudget(t *testing.T) {
 // TestEngineWarmRestart is the restart-equivalence test at engine
 // level: the same jobs on a fresh engine sharing the cache directory
 // must produce byte-identical quality, with the partitions served from
-// disk rather than recomputed.
+// disk rather than recomputed. Both runs must also equal an engine
+// without a disk tier.
 func TestEngineWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	specs := []JobSpec{
@@ -283,14 +284,26 @@ func TestEngineWarmRestart(t *testing.T) {
 		{Graph: GraphSpec{Network: "PGPgiantcompo", Scale: 0.05}, Topology: "hypercube:4", Case: C4GreedyMin, Seed: 4, NumHierarchies: 4, IncludeAssignment: true},
 	}
 
+	ref := New(Options{Workers: 1})
+	defer ref.Close()
+	want := make([]JobResult, len(specs))
+	for i, spec := range specs {
+		res, err := ref.Run(spec)
+		if err != nil {
+			t.Fatalf("reference run %d: %v", i, err)
+		}
+		want[i] = res.StripPerf()
+	}
+
 	e1 := New(Options{Workers: 2, CacheDir: dir})
-	cold := make([]JobResult, len(specs))
 	for i, spec := range specs {
 		res, err := e1.Run(spec)
 		if err != nil {
 			t.Fatalf("cold run %d: %v", i, err)
 		}
-		cold[i] = *res
+		if !reflect.DeepEqual(want[i], res.StripPerf()) {
+			t.Fatalf("job %d: the cold run differs from the engine without a disk tier", i)
+		}
 	}
 	st1 := e1.Stats()
 	e1.Close()
@@ -305,7 +318,7 @@ func TestEngineWarmRestart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("warm run %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(cold[i].StripPerf(), res.StripPerf()) {
+		if !reflect.DeepEqual(want[i], res.StripPerf()) {
 			t.Fatalf("job %d differs across restart", i)
 		}
 		if !res.PartitionReused {

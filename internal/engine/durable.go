@@ -81,11 +81,12 @@ func closedChan() chan struct{} {
 
 // replayLedger opens the job ledger in dir and folds its recovered
 // state into the (still single-threaded) engine: finished jobs are
-// re-registered so their IDs keep resolving and their results keep
-// serving duplicate submissions; unfinished jobs are returned for the
-// caller to requeue once the pending channel exists. A ledger that
-// cannot be opened degrades the engine to non-durable operation and is
-// reported through Stats, mirroring the disk-tier policy.
+// re-registered so their IDs keep resolving (the ledger itself serves
+// their results to duplicate submissions); unfinished jobs are
+// returned for the caller to requeue once the pending channel exists.
+// A ledger that cannot be opened degrades the engine to non-durable
+// operation and is reported through Stats, mirroring the disk-tier
+// policy.
 func (e *Engine) replayLedger(dir string) (requeue []*jobRecord) {
 	store, recv, err := jobstore.Open(dir, jobstore.Options{})
 	if err != nil {
@@ -114,16 +115,13 @@ func (e *Engine) replayLedger(dir string) (requeue []*jobRecord) {
 				continue
 			}
 			rec := &jobRecord{job: Job{
-				ID: js.ID, Spec: spec, Status: StatusDone, Result: &res,
+				ID: js.ID, Spec: finishedSpec(spec), Status: StatusDone, Result: &res,
 			}, done: closedChan()}
 			e.jobs[js.ID] = rec
 			e.order = append(e.order, js.ID)
-			if js.Hash != "" {
-				e.dedup[js.Hash] = js.Result
-			}
 		case jobstore.OpFailed:
 			rec := &jobRecord{job: Job{
-				ID: js.ID, Spec: spec, Status: StatusFailed, Error: js.Error,
+				ID: js.ID, Spec: finishedSpec(spec), Status: StatusFailed, Error: js.Error,
 			}, done: closedChan()}
 			e.jobs[js.ID] = rec
 			e.order = append(e.order, js.ID)
@@ -164,9 +162,9 @@ func (e *Engine) logRunning(rec *jobRecord) {
 	_ = e.ledger.Running(rec.job.ID)
 }
 
-// logFinished appends the job's terminal record and, for successful
-// jobs, registers the result under its spec hash so identical
-// resubmissions are served from the ledger instead of recomputed.
+// logFinished appends the job's terminal record. A done record also
+// lets the ledger serve identical resubmissions (see ledgerResult)
+// instead of recomputing them.
 func (e *Engine) logFinished(rec *jobRecord, res *JobResult, jobErr error) {
 	if e.ledger == nil || !rec.durable {
 		return
@@ -175,48 +173,45 @@ func (e *Engine) logFinished(rec *jobRecord, res *JobResult, jobErr error) {
 		_ = e.ledger.Failed(rec.job.ID, jobErr.Error())
 		return
 	}
-	body, err := json.Marshal(res)
-	if err != nil {
-		return
-	}
-	if e.ledger.Done(rec.job.ID, rec.hash, body) == nil {
-		e.mu.Lock()
-		e.dedup[rec.hash] = body
-		e.mu.Unlock()
+	if body, err := json.Marshal(res); err == nil {
+		_ = e.ledger.Done(rec.job.ID, rec.hash, body)
 	}
 }
 
-// dedupServe looks up a finished result for the spec hash and, when
-// found, registers a new already-done job serving it. Caller holds
-// e.mu. The served copy is flagged ServedFromLedger (a perf field,
-// stripped by StripPerf) so clients and the bench harness can count
+// ledgerResult returns the result of the ledger's latest retained done
+// job with the spec hash, or nil. The copy is flagged ServedFromLedger
+// (a perf field, stripped by StripPerf) so clients can count
 // recompute-free submissions.
-func (e *Engine) dedupServe(hash string, spec JobSpec) (*jobRecord, bool) {
-	raw, ok := e.dedup[hash]
+func (e *Engine) ledgerResult(hash string) *JobResult {
+	raw, ok := e.ledger.Result(hash)
 	if !ok {
-		return nil, false
+		return nil
 	}
 	var res JobResult
 	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, false
+		return nil
 	}
 	res.ServedFromLedger = true
+	return &res
+}
+
+// dedupServe registers a new already-done job serving res, a result
+// ledgerResult found. Caller holds e.mu.
+func (e *Engine) dedupServe(res *JobResult, spec JobSpec) *jobRecord {
 	e.nextID++
 	rec := &jobRecord{job: Job{
 		ID:        fmt.Sprintf("job-%06d", e.nextID),
-		Spec:      spec,
+		Spec:      finishedSpec(spec),
 		Status:    StatusDone,
-		Result:    &res,
+		Result:    res,
 		Submitted: time.Now(),
 		Finished:  time.Now(),
 	}, done: closedChan()}
-	rec.job.Spec.Graph.Edges = nil
-	rec.job.Spec.Graph.G = nil
 	e.jobs[rec.job.ID] = rec
 	e.order = append(e.order, rec.job.ID)
 	e.dedupServed.Add(1)
 	e.evictLocked()
-	return rec, true
+	return rec
 }
 
 // Draining reports whether BeginDrain has been called.
@@ -280,8 +275,7 @@ func (e *Engine) interrupt(rec *jobRecord) {
 	rec.job.Finished = time.Now()
 	id := rec.job.ID
 	durable := rec.durable
-	rec.job.Spec.Graph.Edges = nil
-	rec.job.Spec.Graph.G = nil
+	rec.job.Spec = finishedSpec(rec.job.Spec)
 	rec.mu.Unlock()
 	if durable && e.ledger != nil {
 		_ = e.ledger.Interrupted(id)

@@ -139,6 +139,57 @@ func TestDedupServesFromLedger(t *testing.T) {
 	}
 }
 
+// TestReplayDropsFinishedInlineEdges: a finished inline job's record
+// holds no edges after a restart, as before it, for a done job and a
+// failed one alike, yet Get still describes each job.
+func TestReplayDropsFinishedInlineEdges(t *testing.T) {
+	dir := t.TempDir()
+	specs := []JobSpec{
+		{Graph: GraphSpec{N: 60, Edges: ringEdges(60)}, Topology: "grid:2x2", Case: C3GreedyAllC, Seed: 9, NumHierarchies: 2},
+		// Three vertices on four PEs: the job fails.
+		{Graph: GraphSpec{N: 3, Edges: ringEdges(3)}, Topology: "grid:2x2", Case: C2Identity, Seed: 10, NumHierarchies: 2},
+	}
+	wantStatus := []JobStatus{StatusDone, StatusFailed}
+	e := New(Options{Workers: 1, JobDir: dir})
+	ids := make([]string, len(specs))
+	for i, spec := range specs {
+		job, err := e.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin, err := e.Wait(job.ID); err != nil || fin.Status != wantStatus[i] {
+			t.Fatalf("job %d: %v, %s (%s); want %s", i, err, fin.Status, fin.Error, wantStatus[i])
+		}
+		ids[i] = job.ID
+	}
+	e.Close()
+
+	e2 := New(Options{Workers: 1, JobDir: dir})
+	defer e2.Close()
+	for i, id := range ids {
+		e2.mu.Lock()
+		rec := e2.jobs[id]
+		e2.mu.Unlock()
+		if rec == nil {
+			t.Fatalf("%s not replayed", id)
+		}
+		rec.mu.Lock()
+		n := len(rec.job.Spec.Graph.Edges)
+		rec.mu.Unlock()
+		if n != 0 {
+			t.Errorf("%s: the replayed %s record holds %d inline edges, want 0", id, wantStatus[i], n)
+		}
+		got, ok := e2.Get(id)
+		if !ok || got.Status != wantStatus[i] {
+			t.Fatalf("%s after restart: %+v", id, got)
+		}
+		if s := got.Spec; s.Topology != specs[i].Topology || s.Case != specs[i].Case || s.Seed != specs[i].Seed {
+			t.Errorf("%s after restart: spec %s/%s/seed %d, want %s/%s/seed %d",
+				id, s.Topology, s.Case, s.Seed, specs[i].Topology, specs[i].Case, specs[i].Seed)
+		}
+	}
+}
+
 func TestFailedJobsRecomputeNotDedup(t *testing.T) {
 	dir := t.TempDir()
 	e := New(Options{Workers: 1, JobDir: dir})
@@ -395,6 +446,11 @@ func TestHardKillRestartRecovery(t *testing.T) {
 		}
 		if dup.Status != StatusDone || dup.Result == nil || !dup.Result.ServedFromLedger {
 			t.Fatalf("duplicate of a recovered job was not ledger-served: %+v", dup)
+		}
+		ds, _ := durableSpec(s)
+		_, h, _ := canonicalSpec(ds)
+		if !reflect.DeepEqual(dup.Result.StripPerf(), want[h]) {
+			t.Fatalf("ledger-served duplicate %s differs from the reference:\n got %+v\nwant %+v", dup.ID, dup.Result.StripPerf(), want[h])
 		}
 	}
 	st = e.Stats()

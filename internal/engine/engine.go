@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -103,6 +102,16 @@ func (r *jobRecord) snapshot() Job {
 	return j
 }
 
+// finishedSpec is spec as every finished job's record keeps it: without
+// the inline edge list and the pinned graph. A finished job is kept
+// only for status reporting, and holding those inputs for up to
+// RetainJobs records would grow the server's heap without bound.
+func finishedSpec(spec JobSpec) JobSpec {
+	spec.Graph.Edges = nil
+	spec.Graph.G = nil
+	return spec
+}
+
 // Engine is a concurrent mapping engine. Create one with New, share it
 // freely (all methods are safe for concurrent use), and Close it when
 // done.
@@ -124,11 +133,10 @@ type Engine struct {
 
 	// Durability state (see durable.go): the job ledger (nil without
 	// Options.JobDir, or after an open failure recorded in ledgerErr),
-	// the hash→result map serving idempotent resubmissions, and the
+	// which also serves idempotent resubmissions, and the
 	// recovery/idempotency counters surfaced through Stats.
 	ledger      *jobstore.Store
 	ledgerErr   error
-	dedup       map[string]json.RawMessage // guarded by mu
 	recovered   int
 	dedupServed atomic.Int64
 	interrupted atomic.Int64
@@ -184,7 +192,6 @@ func New(opt Options) *Engine {
 		artifacts: NewArtifactCache(defaultArtifactEntries, defaultArtifactBytes),
 		jobs:      make(map[string]*jobRecord),
 		stageSecs: make(map[string]float64),
-		dedup:     make(map[string]json.RawMessage),
 		drainCh:   make(chan struct{}),
 	}
 	// Replay the job ledger (if configured) before the worker pool or
@@ -275,11 +282,14 @@ func (e *Engine) Submit(spec JobSpec) (Job, error) {
 	if e.draining.Load() {
 		return Job{}, ErrDraining
 	}
-	// Canonicalize and hash before taking e.mu: it marshals the whole
-	// spec, inline edges included, and every Get, Wait, Jobs and Stats
-	// call waits on e.mu. e.ledger is only assigned during New.
+	// Canonicalize, hash and look the hash up in the ledger before
+	// taking e.mu: the hash marshals the whole spec, inline edges
+	// included, the lookup waits on the ledger's lock, and every Get,
+	// Wait, Jobs and Stats call waits on e.mu. e.ledger is only assigned
+	// during New.
 	var hash string
 	var specJSON []byte
+	var served *JobResult
 	durable := false
 	if e.ledger != nil {
 		if ds, ok := durableSpec(spec); ok {
@@ -287,17 +297,19 @@ func (e *Engine) Submit(spec JobSpec) (Job, error) {
 			specJSON, hash, err = canonicalSpec(ds)
 			durable = err == nil
 		}
+		if durable {
+			served = e.ledgerResult(hash)
+		}
 	}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return Job{}, ErrClosed
 	}
-	if durable {
-		if rec, ok := e.dedupServe(hash, spec); ok {
-			e.mu.Unlock()
-			return rec.snapshot(), nil
-		}
+	if served != nil {
+		rec := e.dedupServe(served, spec)
+		e.mu.Unlock()
+		return rec.snapshot(), nil
 	}
 	// Only Submit (serialized by e.mu) ever adds to pending, so a
 	// capacity check here guarantees the send below cannot block — and
@@ -537,12 +549,7 @@ func (e *Engine) execute(rec *jobRecord, ws *workerScratch) {
 		rec.job.Status = StatusDone
 		rec.job.Result = res
 	}
-	// Drop the heavyweight inputs from the retained record: a finished
-	// job is kept for status reporting, and holding inline edge lists or
-	// pinned graphs for up to RetainJobs records would grow the server's
-	// heap without bound.
-	rec.job.Spec.Graph.Edges = nil
-	rec.job.Spec.Graph.G = nil
+	rec.job.Spec = finishedSpec(rec.job.Spec)
 	// Count the job served before its done channel closes: a client that
 	// observed the job finished must never read a stats snapshot that
 	// has not counted it yet.

@@ -574,6 +574,33 @@ func TestBatchLazyValidatesNetworkName(t *testing.T) {
 	}
 }
 
+// TestBatchBadGraphQueuesNothing: a bad graph fails the batch before
+// any job is queued, the jobs of the good graphs before it included.
+func TestBatchBadGraphQueuesNothing(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	for _, bad := range []GraphSpec{
+		{Edges: [][3]int64{{0, -1, 1}}},
+		{Ref: "file:/no/such/file"},
+		{Network: "p2p-Gnutela", Scale: 0.05}, // typo
+	} {
+		ids, err := e.SubmitBatch(BatchSpec{
+			Graphs:     []GraphSpec{{Network: "p2p-Gnutella", Scale: 0.05}, {N: 60, Edges: ringEdges(60)}, bad},
+			Topologies: []string{"grid:2x2"},
+			Reps:       2,
+		})
+		if err == nil {
+			t.Fatalf("batch with bad graph %+v was accepted", bad)
+		}
+		if len(ids) != 0 {
+			t.Errorf("bad graph %+v: %d job IDs returned with the error", bad, len(ids))
+		}
+	}
+	if jobs := e.Jobs(); len(jobs) != 0 {
+		t.Errorf("%d jobs were queued before the bad graph failed the batch", len(jobs))
+	}
+}
+
 // TestSnapshotsOmitInlineEdges: no job snapshot carries the inline
 // edge list — not Submit's, not Get's while the job waits for the
 // worker, not Wait's, not the listing's — yet the worker runs the job

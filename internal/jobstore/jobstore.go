@@ -168,6 +168,7 @@ type Store struct {
 	jobs     map[string]*JobState
 	order    []string
 	finished int
+	done     map[string]string // spec hash → ID of its latest done job, for Result
 
 	records     int64
 	compactions int64
@@ -193,6 +194,7 @@ func Open(dir string, opt Options) (*Store, *Recovery, error) {
 		dir:  dir,
 		opt:  opt,
 		jobs: make(map[string]*JobState),
+		done: make(map[string]string),
 	}
 	maxSeq := 0
 	for _, name := range names {
@@ -329,6 +331,9 @@ func (s *Store) applyLocked(r Record) {
 		}
 		st.Result = r.Result
 		st.Error = ""
+		if st.Hash != "" {
+			s.done[st.Hash] = st.ID
+		}
 	case OpFailed:
 		st.Op = OpFailed
 		st.Error = r.Error
@@ -349,7 +354,10 @@ func (s *Store) trimLocked() {
 	}
 	keep := s.order[:0]
 	for _, id := range s.order {
-		if s.finished > s.opt.RetainDone && s.jobs[id].Finished() {
+		if st := s.jobs[id]; s.finished > s.opt.RetainDone && st.Finished() {
+			if s.done[st.Hash] == id {
+				delete(s.done, st.Hash)
+			}
 			delete(s.jobs, id)
 			s.finished--
 			continue
@@ -357,6 +365,20 @@ func (s *Store) trimLocked() {
 		keep = append(keep, id)
 	}
 	s.order = keep
+}
+
+// Result returns the result of the latest done job the live mirror
+// holds under the canonical spec hash: the payload an identical
+// resubmission is served instead of recomputing. It misses once that
+// job has been trimmed from the mirror (see Options.RetainDone).
+func (s *Store) Result(hash string) (json.RawMessage, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, ok := s.jobs[s.done[hash]]
+	if !ok || st.Op != OpDone || st.Hash != hash {
+		return nil, false
+	}
+	return st.Result, true
 }
 
 // Append logs one record. The record is also folded into the live

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/snapfile"
@@ -178,7 +179,7 @@ func TestRestartRotatesNeverAppends(t *testing.T) {
 // same way Open does, yielding the expected recovered state.
 func tortureState(t *testing.T, bodies [][]byte) map[string]JobState {
 	t.Helper()
-	s := &Store{jobs: make(map[string]*JobState), opt: Options{}.withDefaults()}
+	s := &Store{jobs: make(map[string]*JobState), done: make(map[string]string), opt: Options{}.withDefaults()}
 	for _, b := range bodies {
 		var r Record
 		if err := json.Unmarshal(b, &r); err != nil {
@@ -401,4 +402,93 @@ func TestStatsShape(t *testing.T) {
 		t.Fatalf("stats dir empty")
 	}
 	s.Close()
+}
+
+// TestResultByHash: Result serves a retained done job's result by spec
+// hash, never a failed or unfinished job's, misses once the done job is
+// trimmed from the mirror, and serves the retained jobs again after Open
+// replays the log.
+func TestResultByHash(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(dir, Options{RetainDone: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := func(s *Store, hash string, want json.RawMessage) {
+		t.Helper()
+		if got, ok := s.Result(hash); !ok || string(got) != string(want) {
+			t.Errorf("Result(%s) = %s, %v; want %s", hash, got, ok, want)
+		}
+	}
+	miss := func(s *Store, hash string) {
+		t.Helper()
+		if got, ok := s.Result(hash); ok {
+			t.Errorf("Result(%s) = %s, want a miss", hash, got)
+		}
+	}
+	s.Submitted("job-000001", "hash-1", specJSON(1))
+	s.Done("job-000001", "hash-1", resultJSON(1))
+	s.Submitted("job-000002", "hash-2", specJSON(2))
+	s.Failed("job-000002", "boom")
+	s.Submitted("job-000003", "hash-3", specJSON(3))
+	hit(s, "hash-1", resultJSON(1))
+	miss(s, "hash-2")
+	miss(s, "hash-3")
+
+	// A third finished job trims job 1, the oldest, from the mirror.
+	s.Submitted("job-000004", "hash-4", specJSON(4))
+	s.Done("job-000004", "hash-4", resultJSON(4))
+	miss(s, "hash-1")
+	hit(s, "hash-4", resultJSON(4))
+
+	// Two done jobs of one spec: trimming the older keeps the newer's
+	// result served.
+	s.Submitted("job-000005", "hash-5", specJSON(5))
+	s.Submitted("job-000006", "hash-5", specJSON(5))
+	s.Done("job-000005", "hash-5", resultJSON(5))
+	s.Done("job-000006", "hash-5", resultJSON(6))
+	s.Submitted("job-000007", "hash-7", specJSON(7))
+	s.Done("job-000007", "hash-7", resultJSON(7))
+	if st := s.Stats(); st.LiveJobs != 3 {
+		t.Fatalf("mirror holds %d jobs, want jobs 3, 6 and 7", st.LiveJobs)
+	}
+	hit(s, "hash-5", resultJSON(6))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, _, err := Open(dir, Options{RetainDone: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	hit(s2, "hash-5", resultJSON(6))
+	hit(s2, "hash-7", resultJSON(7))
+	miss(s2, "hash-1")
+	miss(s2, "hash-4")
+	miss(s2, "hash-3")
+}
+
+// TestResultDuringAppends: Result reads the hash index while other
+// goroutines append to the store (the engine's submitters and workers
+// share one ledger); run it under -race.
+func TestResultDuringAppends(t *testing.T) {
+	s, _ := openEmpty(t)
+	defer s.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				id, hash := fmt.Sprintf("job-%d-%d", w, i), fmt.Sprintf("hash-%d", i)
+				s.Submitted(id, hash, specJSON(i))
+				s.Done(id, hash, resultJSON(i))
+				if got, ok := s.Result(hash); !ok || string(got) != string(resultJSON(i)) {
+					t.Errorf("Result(%s) after %s finished = %s, %v; want %s", hash, id, got, ok, resultJSON(i))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
