@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/netgen"
+	"repro/internal/topology"
 )
 
 // BatchSpec fans a set of graphs out over a set of topologies: every
@@ -140,9 +141,9 @@ func ExpandBatch(b BatchSpec, limit int) ([]JobSpec, error) {
 // SubmitBatch expands the batch into jobs with ExpandBatch and
 // enqueues them all, returning the job IDs in its fan-out order. Jobs
 // skipped by SkipTooSmall contribute an empty ID at their position, so
-// the slice shape stays rectangular. Every graph is resolved before the
-// first job is queued, so a bad graph fails the batch with nothing
-// queued.
+// the slice shape stays rectangular. Every graph, and under
+// SkipTooSmall every topology, is resolved before the first job is
+// queued, so a bad one fails the batch with nothing queued.
 func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 	// A batch larger than the retention window could have its earliest
 	// finished jobs evicted before RunBatch collects them; reject it
@@ -154,6 +155,21 @@ func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 	seed := b.Seed
 	if seed == 0 {
 		seed = 1
+	}
+	// SkipTooSmall compares each graph with its topology's PE count.
+	var topos map[string]*topology.Topology
+	if b.SkipTooSmall {
+		topos = make(map[string]*topology.Topology, len(b.Topologies))
+		for _, spec := range b.Topologies {
+			if topos[spec] != nil {
+				continue
+			}
+			topo, err := e.cache.Get(spec)
+			if err != nil {
+				return nil, err
+			}
+			topos[spec] = topo
+		}
 	}
 	// Every job of a batch must compute on one graph instance.
 	// ExpandBatch pins the batch seed into each graph spec, which fixes a
@@ -197,15 +213,9 @@ func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 	}
 	ids := make([]string, 0, len(specs))
 	for _, spec := range specs {
-		if b.SkipTooSmall {
-			topo, err := e.cache.Get(spec.Topology)
-			if err != nil {
-				return ids, err
-			}
-			if spec.Graph.G.N() <= topo.P() {
-				ids = append(ids, "")
-				continue
-			}
+		if topo := topos[spec.Topology]; topo != nil && spec.Graph.G.N() <= topo.P() {
+			ids = append(ids, "")
+			continue
 		}
 		job, err := e.Submit(spec)
 		if err != nil {

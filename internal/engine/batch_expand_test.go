@@ -58,10 +58,13 @@ func TestSpecHashNoSerializableIdentity(t *testing.T) {
 // TestExpandBatchMatchesSubmitBatch is the equivalence the fleet router
 // depends on: scattering ExpandBatch's per-job specs one by one must
 // compute the exact results SubmitBatch would, in the same fan-out
-// order — seeds, partition seeds, everything but perf noise.
+// order — seeds, partition seeds, everything but perf noise. The batch
+// has a named network, which SubmitBatch leaves unmaterialized, and an
+// inline graph, which SubmitBatch pins beside its edges while
+// ExpandBatch's specs carry only the edges.
 func TestExpandBatchMatchesSubmitBatch(t *testing.T) {
 	batch := BatchSpec{
-		Graphs:          []GraphSpec{{Network: "p2p-Gnutella", Scale: 0.05}},
+		Graphs:          []GraphSpec{{Network: "p2p-Gnutella", Scale: 0.05}, {N: 60, Edges: ringEdges(60)}},
 		Topologies:      []string{"grid:4x4", "hypercube:4"},
 		Case:            C3GreedyAllC,
 		Reps:            2,
@@ -73,10 +76,13 @@ func TestExpandBatchMatchesSubmitBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 4 {
-		t.Fatalf("expanded to %d specs, want 4", len(specs))
+	if len(specs) != 8 {
+		t.Fatalf("expanded to %d specs, want 8", len(specs))
 	}
 	for i, spec := range specs {
+		if spec.Graph.G != nil {
+			t.Errorf("spec %d: ExpandBatch pinned a graph", i)
+		}
 		rep := i % batch.Reps
 		if want := BatchSeed(batch.Seed, rep, batch.Case); spec.Seed != want {
 			t.Errorf("spec %d seed = %d, want BatchSeed %d", i, spec.Seed, want)

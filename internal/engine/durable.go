@@ -162,20 +162,26 @@ func (e *Engine) logRunning(rec *jobRecord) {
 	_ = e.ledger.Running(rec.job.ID)
 }
 
-// logFinished appends the job's terminal record. A done record also
-// lets the ledger serve identical resubmissions (see ledgerResult)
-// instead of recomputing them.
-func (e *Engine) logFinished(rec *jobRecord, res *JobResult, jobErr error) {
+// logFinished appends the job's terminal record. It carries the
+// canonical JSON of the job's finished spec, a few hundred bytes
+// without the inline edges, which replaces the submitted spec in the
+// ledger's mirror. A done record also lets the ledger serve identical
+// resubmissions (see ledgerResult) instead of recomputing them.
+func (e *Engine) logFinished(rec *jobRecord, spec JobSpec, res *JobResult, jobErr error) {
 	if e.ledger == nil || !rec.durable {
 		return
 	}
+	r := jobstore.Record{Op: jobstore.OpDone, ID: rec.job.ID, Hash: rec.hash}
+	if ds, ok := durableSpec(spec); ok {
+		r.Spec, _ = MarshalSpec(finishedSpec(ds))
+	}
+	var err error
 	if jobErr != nil {
-		_ = e.ledger.Failed(rec.job.ID, jobErr.Error())
+		r.Op, r.Error = jobstore.OpFailed, jobErr.Error()
+	} else if r.Result, err = json.Marshal(res); err != nil {
 		return
 	}
-	if body, err := json.Marshal(res); err == nil {
-		_ = e.ledger.Done(rec.job.ID, rec.hash, body)
-	}
+	_ = e.ledger.Append(r)
 }
 
 // ledgerResult returns the result of the ledger's latest retained done

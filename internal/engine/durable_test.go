@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/jobstore"
 )
 
 // durableSpecs is the workload of the crash/restart tests: distinct
@@ -179,6 +182,69 @@ func TestReplayDropsFinishedInlineEdges(t *testing.T) {
 		if n != 0 {
 			t.Errorf("%s: the replayed %s record holds %d inline edges, want 0", id, wantStatus[i], n)
 		}
+		got, ok := e2.Get(id)
+		if !ok || got.Status != wantStatus[i] {
+			t.Fatalf("%s after restart: %+v", id, got)
+		}
+		if s := got.Spec; s.Topology != specs[i].Topology || s.Case != specs[i].Case || s.Seed != specs[i].Seed {
+			t.Errorf("%s after restart: spec %s/%s/seed %d, want %s/%s/seed %d",
+				id, s.Topology, s.Case, s.Seed, specs[i].Topology, specs[i].Case, specs[i].Seed)
+		}
+	}
+}
+
+// TestLedgerFinishedSpecsDropInlineEdges: a finished inline job's
+// terminal record carries its spec without edges, which replaces the
+// submitted spec in the ledger, for a done job and a failed one alike;
+// a restarted engine still describes each job.
+func TestLedgerFinishedSpecsDropInlineEdges(t *testing.T) {
+	dir := t.TempDir()
+	specs := []JobSpec{
+		{Graph: GraphSpec{N: 60, Edges: ringEdges(60)}, Topology: "grid:2x2", Case: C4GreedyMin, Seed: 5, NumHierarchies: 2},
+		// Three vertices on four PEs: the job fails.
+		{Graph: GraphSpec{N: 3, Edges: ringEdges(3)}, Topology: "grid:2x2", Case: C1SCOTCH, Seed: 6, NumHierarchies: 2},
+	}
+	wantStatus := []JobStatus{StatusDone, StatusFailed}
+	e := New(Options{Workers: 1, JobDir: dir})
+	ids := make([]string, len(specs))
+	for i, spec := range specs {
+		job, err := e.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin, err := e.Wait(job.ID); err != nil || fin.Status != wantStatus[i] {
+			t.Fatalf("job %d: %v, %s (%s); want %s", i, err, fin.Status, fin.Error, wantStatus[i])
+		}
+		ids[i] = job.ID
+	}
+	e.Close()
+
+	store, recv, err := jobstore.Open(dir, jobstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	if len(recv.Jobs) != len(specs) {
+		t.Fatalf("ledger recovered %d jobs, want %d", len(recv.Jobs), len(specs))
+	}
+	for _, js := range recv.Jobs {
+		var spec struct {
+			Graph map[string]json.RawMessage `json:"graph"`
+		}
+		if err := json.Unmarshal(js.Spec, &spec); err != nil || spec.Graph == nil {
+			t.Fatalf("%s: ledger spec %s does not parse to a graph (%v)", js.ID, js.Spec, err)
+		}
+		if !js.Finished() {
+			t.Errorf("%s: ledger state %s, want finished", js.ID, js.Op)
+		}
+		if _, ok := spec.Graph["edges"]; ok {
+			t.Errorf("%s (%s): ledger spec holds inline edges: %.80s", js.ID, js.Op, js.Spec)
+		}
+	}
+
+	e2 := New(Options{Workers: 1, JobDir: dir})
+	defer e2.Close()
+	for i, id := range ids {
 		got, ok := e2.Get(id)
 		if !ok || got.Status != wantStatus[i] {
 			t.Fatalf("%s after restart: %+v", id, got)

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"unicode/utf8"
 )
 
 // EdgeList is an inline graph's edge list: EdgeList[i] = [u, v, w].
@@ -119,33 +120,205 @@ func (l *EdgeList) UnmarshalJSON(data []byte) error {
 	return json.Unmarshal(data, (*[][3]int64)(l))
 }
 
+// DecodeSpec decodes a job spec the way mapd and the router accept
+// one: it returns exactly what json.NewDecoder with
+// DisallowUnknownFields and one Decode returns for body, the same spec
+// or an error with the same text, in one pass over the edges. When the
+// top-level object has exactly one key matching "graph" and that
+// object exactly one key matching "edges" (both spelled so), and the
+// edges are an array of integer triples, the triples are parsed in
+// place and encoding/json decodes the rest of the document with the
+// list replaced by []. Any other shape (case variants, escaped or
+// non-ASCII keys, duplicate keys, any other edge list) and any error
+// goes to the reference decoder on body itself.
+func DecodeSpec(body []byte) (JobSpec, error) {
+	if start, end, edges, ok := locateEdges(body); ok {
+		rest := make([]byte, 0, len(body)-(end-start)+len("[]"))
+		rest = append(append(append(rest, body[:start]...), "[]"...), body[end:]...)
+		if spec, err := decodeSpecJSON(rest); err == nil {
+			spec.Graph.Edges = edges
+			return spec, nil
+		}
+	}
+	return decodeSpecJSON(body)
+}
+
+// decodeSpecJSON is DecodeSpec's reference: encoding/json's decoder,
+// refusing fields outside the schema and ignoring bytes after the
+// first value.
+func decodeSpecJSON(body []byte) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+// locateEdges finds the inline edge list DecodeSpec can parse in
+// place: it returns the list and the bounds of its text in data, or
+// ok false for any other shape. It reads the keys of the top-level
+// object and of its graph object, and skips every other value.
+//
+// Replacing the list's text by [] keeps the document valid or invalid
+// alike, and its spec the same but for the edges, as long as the list
+// is the value encoding/json decodes into GraphSpec.Edges. The walk
+// finds it only there: it reads keys and separators as encoding/json
+// does, and every value it skips before the list is valid JSON, or
+// encoding/json refuses the same prefix in both documents.
+func locateEdges(data []byte) (start, end int, edges EdgeList, ok bool) {
+	graphs, lists := 0, 0
+	_, ok = walkObject(data, skipSpace(data, 0), func(key []byte, v int) (int, bool) {
+		if !bytes.EqualFold(key, []byte("graph")) {
+			return skipValue(data, v)
+		}
+		if graphs++; graphs > 1 || string(key) != "graph" {
+			return 0, false
+		}
+		return walkObject(data, v, func(key []byte, v int) (int, bool) {
+			if !bytes.EqualFold(key, []byte("edges")) {
+				return skipValue(data, v)
+			}
+			if lists++; lists > 1 || string(key) != "edges" {
+				return 0, false
+			}
+			var ok bool
+			start = v
+			edges, end, ok = parseTriplesAt(data, v)
+			return end, ok
+		})
+	})
+	return start, end, edges, ok && lists == 1
+}
+
+// walkObject walks the JSON object opening at data[i]: for each member
+// it calls member with the key and the index of the value, and member
+// returns the index just past that value. walkObject returns the index
+// just past the closing brace. ok is false if the walk finds the object
+// malformed or a key that is not plain ASCII without escapes:
+// encoding/json matches such keys to fields by unescaping and Unicode
+// case folding, which the walk does not reproduce.
+func walkObject(data []byte, i int, member func(key []byte, v int) (int, bool)) (int, bool) {
+	if i == len(data) || data[i] != '{' {
+		return 0, false
+	}
+	i = skipSpace(data, i+1)
+	if i < len(data) && data[i] == '}' {
+		return i + 1, true
+	}
+	for {
+		if i == len(data) || data[i] != '"' {
+			return 0, false
+		}
+		k := i + 1
+		for k < len(data) && data[k] != '"' {
+			if c := data[k]; c == '\\' || c < ' ' || c >= utf8.RuneSelf {
+				return 0, false
+			}
+			k++
+		}
+		if k == len(data) {
+			return 0, false
+		}
+		key := data[i+1 : k]
+		i = skipSpace(data, k+1)
+		if i == len(data) || data[i] != ':' {
+			return 0, false
+		}
+		var ok bool
+		if i, ok = member(key, skipSpace(data, i+1)); !ok {
+			return 0, false
+		}
+		i = skipSpace(data, i)
+		switch {
+		case i == len(data):
+			return 0, false
+		case data[i] == '}':
+			return i + 1, true
+		case data[i] != ',':
+			return 0, false
+		}
+		i = skipSpace(data, i+1)
+	}
+}
+
+// skipValue returns the index just past the JSON value at data[i]. It
+// is exact for valid JSON and need not be for anything else.
+func skipValue(data []byte, i int) (int, bool) {
+	depth := 0
+	for i < len(data) {
+		switch c := data[i]; c {
+		case '"':
+			// A backslash escapes the byte after it.
+			for i++; i < len(data) && data[i] != '"'; i++ {
+				if data[i] == '\\' {
+					i++
+				}
+			}
+			if i >= len(data) {
+				return 0, false
+			}
+			i++
+		case '{', '[':
+			depth++
+			i++
+			continue
+		case '}', ']':
+			if depth == 0 {
+				return i, true
+			}
+			depth--
+			i++
+		case ',', ':', ' ', '\t', '\n', '\r':
+			if depth == 0 {
+				return i, true
+			}
+			i++
+			continue
+		default:
+			i++
+			continue
+		}
+		if depth == 0 {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
 // parseTriples parses data as a JSON array of integer triples and
-// reports whether it had exactly that shape. The result is allocated
-// at its final length.
+// reports whether it had exactly that shape.
 func parseTriples(data []byte) (EdgeList, bool) {
-	i := skipSpace(data, 0)
+	edges, end, ok := parseTriplesAt(data, skipSpace(data, 0))
+	return edges, ok && skipSpace(data, end) == len(data)
+}
+
+// parseTriplesAt parses the JSON array of integer triples that opens
+// at data[i] and returns it with the index just past its closing
+// bracket; ok is false unless such an array starts there. The result
+// is allocated at its final length when no ']' follows the array.
+func parseTriplesAt(data []byte, i int) (edges EdgeList, end int, ok bool) {
 	if i == len(data) || data[i] != '[' {
-		return nil, false
+		return nil, 0, false
 	}
 	// Every triple closes with one ']' and the list with one more. A
 	// triple takes at least 8 bytes ("[0,0,0],"), which caps the size
 	// hint for input that is not a triple list, such as a string full
 	// of ']'.
-	n := min(bytes.Count(data, []byte{']'})-1, len(data)/8)
-	edges := make(EdgeList, 0, max(0, n))
+	n := min(bytes.Count(data[i:], []byte{']'})-1, (len(data)-i)/8)
+	edges = make(EdgeList, 0, max(0, n))
 	i = skipSpace(data, i+1)
 	if i < len(data) && data[i] == ']' {
-		return edges, skipSpace(data, i+1) == len(data)
+		return edges, i + 1, true
 	}
 	for {
 		if i == len(data) || data[i] != '[' {
-			return nil, false
+			return nil, 0, false
 		}
 		var e [3]int64
 		for k := range e {
 			var ok bool
 			if e[k], i, ok = parseInt(data, skipSpace(data, i+1)); !ok {
-				return nil, false
+				return nil, 0, false
 			}
 			i = skipSpace(data, i)
 			sep := byte(',')
@@ -153,19 +326,19 @@ func parseTriples(data []byte) (EdgeList, bool) {
 				sep = ']'
 			}
 			if i == len(data) || data[i] != sep {
-				return nil, false
+				return nil, 0, false
 			}
 		}
 		edges = append(edges, e)
 		i = skipSpace(data, i+1)
 		if i == len(data) {
-			return nil, false
+			return nil, 0, false
 		}
 		if data[i] == ']' {
-			return edges, skipSpace(data, i+1) == len(data)
+			return edges, i + 1, true
 		}
 		if data[i] != ',' {
-			return nil, false
+			return nil, 0, false
 		}
 		i = skipSpace(data, i+1)
 	}

@@ -127,10 +127,10 @@ func BenchmarkEdgeListDecode(b *testing.B) {
 	})
 }
 
-// BenchmarkMarshalSpec encodes an inline job of the size the service
-// benchmark sends (PGPgiantcompo at scale 0.1: 1,068 vertices, 2,133
-// edges) with encoding/json and with MarshalSpec.
-func BenchmarkMarshalSpec(b *testing.B) {
+// serviceSizeSpec returns an inline job of the size the service
+// benchmark sends: PGPgiantcompo at scale 0.1, 1,068 vertices and
+// 2,133 edges.
+func serviceSizeSpec(b *testing.B) JobSpec {
 	ns, err := netgen.ByName("PGPgiantcompo")
 	if err != nil {
 		b.Fatal(err)
@@ -145,6 +145,13 @@ func BenchmarkMarshalSpec(b *testing.B) {
 			}
 		}
 	}
+	return spec
+}
+
+// BenchmarkMarshalSpec encodes a service-size inline job with
+// encoding/json and with MarshalSpec.
+func BenchmarkMarshalSpec(b *testing.B) {
+	spec := serviceSizeSpec(b)
 	for _, bc := range []struct {
 		name   string
 		encode func(any) ([]byte, error)
@@ -156,6 +163,29 @@ func BenchmarkMarshalSpec(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				if _, err := bc.encode(spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeSpec decodes a service-size inline job's JSON with
+// the servers' reference decoder and with DecodeSpec.
+func BenchmarkDecodeSpec(b *testing.B) {
+	body, err := MarshalSpec(serviceSizeSpec(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name   string
+		decode func([]byte) (JobSpec, error)
+	}{{"reference", decodeStrict}, {"DecodeSpec", DecodeSpec}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := bc.decode(body); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -537,7 +537,7 @@ func (e *Engine) execute(rec *jobRecord, ws *workerScratch) {
 	e.logRunning(rec)
 
 	res, err := e.runGuarded(spec, rec, ws)
-	e.logFinished(rec, res, err)
+	e.logFinished(rec, spec, res, err)
 
 	rec.mu.Lock()
 	rec.job.Stage = ""

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -285,6 +286,31 @@ func TestBatchSkipTooSmall(t *testing.T) {
 	}
 	if jobs[1].ID != "" {
 		t.Errorf("grid:16x16 job not skipped: %+v", jobs[1])
+	}
+}
+
+// TestBatchSkipTooSmallBadTopologyQueuesNothing: under SkipTooSmall a
+// bad topology fails the batch before any job is queued, even when
+// the jobs of a good topology come first in the fan-out.
+func TestBatchSkipTooSmallBadTopologyQueuesNothing(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	path := make(EdgeList, 59)
+	for v := range path {
+		path[v] = [3]int64{int64(v), int64(v + 1), 1}
+	}
+	ids, err := e.SubmitBatch(BatchSpec{
+		Graphs:         []GraphSpec{{N: 60, Edges: path}},
+		Topologies:     []string{"grid:2x2", "grid:0x9"},
+		Reps:           2,
+		NumHierarchies: 2,
+		SkipTooSmall:   true,
+	})
+	if err == nil || !strings.Contains(err.Error(), "bad extent") {
+		t.Fatalf("SubmitBatch err = %v, want the bad extent of grid:0x9", err)
+	}
+	if jobs := e.Jobs(); len(ids) != 0 || len(jobs) != 0 {
+		t.Fatalf("failed batch queued %v; the engine holds %d jobs", ids, len(jobs))
 	}
 }
 

@@ -5,17 +5,74 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
-// decodeStrict decodes a job spec the way mapd and the router do:
-// fields outside the schema are refused.
+// decodeStrict is the decoder DecodeSpec must match: encoding/json's,
+// refusing fields outside the schema.
 func decodeStrict(data []byte) (JobSpec, error) {
 	var spec JobSpec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&spec)
 	return spec, err
+}
+
+// FuzzDecodeSpec checks DecodeSpec against decodeStrict, the decoder
+// it stands in for: on any input both fail or both succeed, with the
+// same error text, and return DeepEqual specs. The seeds are the
+// ledger fixture's specs and the job bodies of the servers' decoding
+// contract test, each marked with whether it takes the in-place path,
+// so a DecodeSpec that always fell back could not pass unnoticed.
+func FuzzDecodeSpec(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join(ledgerFixture, "spec-*.json"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no fixture specs under %s (%v)", ledgerFixture, err)
+	}
+	for _, path := range seeds {
+		body, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, seed := range []struct {
+		in   string
+		fast bool
+	}{
+		{`{"graph": {"n": 9, "edges": [[0,1,1], [1,2,1], [2,3,2]]}, "topology": "grid:2x2", "seed": 3}`, true},
+		{`{"graph":{"network":"p2p-Gnutella","scale":0.05},"topology":"grid:2x2"}`, false},
+		{`{"graph":{"edges":[[0,1,1]]},"topology":"grid:2x2","bogus":1}`, true},
+		{`{"Graph":{"edges":[[0,1,1]]},"topology":"grid:2x2"}`, false},
+		{`{"graph":{"EDGES":[[0,1,1]]},"topology":"grid:2x2"}`, false},
+		{`{"graph":{"n":9},"graph":{"edges":[[0,1,1]]},"topology":"grid:2x2"}`, false},
+		{`{"graph":{"edges":[[0,1,1]],"edges":[[1,2,1]]},"topology":"grid:2x2"}`, false},
+		{`{"graph":{"\u0065dges":[[0,1,1]]},"topology":"grid:2x2"}`, false},
+		{`{"graph":{"edgeſ":[[0,1,1]]},"topology":"grid:2x2"}`, false},
+		{`{"graph":{"edges":[[0,1,1.5]]},"topology":"grid:2x2"}`, false},
+		{`{"graph":{"edges":[[0,1,1]]},"topology":"grid:2x2","seed":"5"}`, true},
+		{`{"graph":{"edges":[[0,1,1]]},"topology":"grid:2x2"} trailing bytes`, true},
+		{`{"graph":{"edges":[[0,1,1]]},"topology":"grid:2x2"`, false},
+		{`{"graph":{"ref":"x\"}, \"edges\": [[", "edges":[]}, "topology":["grid:2x2", {"a":"]"}]}`, true},
+		{` {"graph" : { "edges" : [ ] , "n" : 0 } , "case" : "c4" }`, true},
+		{``, false},
+	} {
+		if _, _, _, ok := locateEdges([]byte(seed.in)); ok != seed.fast {
+			f.Errorf("locateEdges(%q) ok = %v, want %v", seed.in, ok, seed.fast)
+		}
+		f.Add([]byte(seed.in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, errGot := DecodeSpec(data)
+		want, errWant := decodeStrict(data)
+		if (errGot == nil) != (errWant == nil) || errGot != nil && errGot.Error() != errWant.Error() {
+			t.Fatalf("decode of %q: DecodeSpec err %v, reference err %v", data, errGot, errWant)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decode of %q: DecodeSpec %+v, reference %+v", data, got, want)
+		}
+	})
 }
 
 // FuzzSpecHash checks spec canonicalization on arbitrary input that a

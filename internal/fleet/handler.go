@@ -84,19 +84,18 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return bytes.Clone(buf), nil
 }
 
-// submitJob decodes the spec as strictly as mapd does, routes it by its
-// spec hash and forwards the client's bytes unchanged: the replica
-// decodes them with the same decoder, so it accepts them too.
+// submitJob decodes the spec with engine.DecodeSpec, as mapd does,
+// routes it by its spec hash and forwards the client's bytes
+// unchanged: the replica decodes them with the same decoder, so it
+// accepts them too.
 func (rt *Router) submitJob(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading job spec: %w", err))
 		return
 	}
-	var spec engine.JobSpec
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := engine.DecodeSpec(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}

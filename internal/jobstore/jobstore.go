@@ -15,7 +15,13 @@
 //   - the log is bounded: segments rotate at a size threshold and are
 //     compacted — live state rewritten into the fresh segment, sealed
 //     segments deleted — so the directory's footprint tracks the live
-//     ledger, not the service's lifetime job count.
+//     ledger, not the service's lifetime job count;
+//   - a finished job is small: a submitted record carries the spec the
+//     job runs, a done or failed record may carry the job's finished
+//     spec (the engine's has no inline edges) in its place, and
+//     compaction writes each finished job as one terminal record, so
+//     neither the live mirror nor a replay holds a finished job's
+//     inputs.
 //
 // Crash safety targets process death (kill -9, OOM, panic): appends are
 // single write(2) calls whose bytes survive the process, and Sync is
@@ -57,9 +63,10 @@ type Op string
 
 // The five record types: a job is submitted (with its spec and
 // canonical spec hash), starts running, and finishes done (with its
-// result) or failed (with its error); interrupted marks a job a
-// draining engine gave back to the log — replay requeues it exactly
-// like a submitted-but-never-finished job.
+// result) or failed (with its error), either optionally with its
+// finished spec; interrupted marks a job a draining engine gave back
+// to the log — replay requeues it exactly like a
+// submitted-but-never-finished job.
 const (
 	OpSubmitted   Op = "submitted"
 	OpRunning     Op = "running"
@@ -75,10 +82,16 @@ type Record struct {
 	// Op is the lifecycle transition; ID the engine's job identifier.
 	Op Op     `json:"op"`
 	ID string `json:"id"`
-	// Hash is the canonical spec hash (submitted and done records) — the
-	// idempotency key under which finished results are re-served.
+	// Hash is the canonical spec hash (submitted and terminal records;
+	// Failed writes none) — the idempotency key under which finished
+	// results are re-served.
 	Hash string `json:"hash,omitempty"`
-	// Spec is the submitted JobSpec (submitted records only).
+	// Spec is the submitted JobSpec on a submitted record. On a done or
+	// failed record it is the finished spec, which replaces the
+	// submitted one in the mirror: the engine logs it without inline
+	// edges. A terminal record without a spec (as Done and Failed
+	// write) keeps the submitted spec. Compaction writes one record per
+	// finished job, its terminal record with the spec the mirror holds.
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Result is the finished JobResult (done records only).
 	Result json.RawMessage `json:"result,omitempty"`
@@ -89,7 +102,8 @@ type Record struct {
 // JobState is the replayed last-known state of one job: its submitted
 // record folded together with the latest lifecycle transition.
 type JobState struct {
-	// ID, Hash and Spec echo the submitted record.
+	// ID, Hash and Spec echo the submitted record; a finished job's Spec
+	// is its terminal record's, if that carries one.
 	ID   string
 	Hash string
 	Spec json.RawMessage
@@ -312,9 +326,10 @@ func (s *Store) applyLocked(r Record) {
 	switch r.Op {
 	case OpSubmitted:
 		// A resubmitted ID after a terminal state never happens in one
-		// process (IDs are unique); across compaction replays the pair
-		// (submitted, done) re-folds to the same state, so only the
-		// identity fields are refreshed once a terminal op has landed.
+		// process (IDs are unique); a ledger compacted while compaction
+		// still wrote finished jobs as the pair (submitted, done)
+		// re-folds to the same state, so only the identity fields are
+		// refreshed once a terminal op has landed.
 		st.Hash = r.Hash
 		st.Spec = r.Spec
 		if !wasFinished {
@@ -324,20 +339,19 @@ func (s *Store) applyLocked(r Record) {
 		if !wasFinished {
 			st.Op = r.Op
 		}
-	case OpDone:
-		st.Op = OpDone
+	case OpDone, OpFailed:
+		st.Op = r.Op
 		if r.Hash != "" {
 			st.Hash = r.Hash
 		}
+		if len(r.Spec) > 0 {
+			st.Spec = r.Spec
+		}
 		st.Result = r.Result
-		st.Error = ""
-		if st.Hash != "" {
+		st.Error = r.Error
+		if r.Op == OpDone && st.Hash != "" {
 			s.done[st.Hash] = st.ID
 		}
-	case OpFailed:
-		st.Op = OpFailed
-		st.Error = r.Error
-		st.Result = nil
 	}
 	if !wasFinished && st.Finished() {
 		s.finished++
@@ -417,12 +431,14 @@ func (s *Store) Running(id string) error {
 	return s.Append(Record{Op: OpRunning, ID: id})
 }
 
-// Done logs a job's successful completion with its raw result JSON.
+// Done logs a job's successful completion with its raw result JSON,
+// keeping its submitted spec. Append a done record with a Spec to
+// replace it.
 func (s *Store) Done(id, hash string, result json.RawMessage) error {
 	return s.Append(Record{Op: OpDone, ID: id, Hash: hash, Result: result})
 }
 
-// Failed logs a job's terminal failure.
+// Failed logs a job's terminal failure, keeping its submitted spec.
 func (s *Store) Failed(id, errMsg string) error {
 	return s.Append(Record{Op: OpFailed, ID: id, Error: errMsg})
 }
@@ -452,35 +468,27 @@ func (s *Store) rotateLocked() error {
 }
 
 // compactLocked rewrites the live mirror into the (fresh) active
-// segment, then deletes every sealed segment. Crash-ordering makes this
-// safe without a manifest: the compacted records are appended before
-// any file is removed, and replay is idempotent under duplicates — a
-// crash that leaves both the sealed originals and the compacted copies
-// replays to the same state. Caller holds s.mu.
+// segment, one record per job, then deletes every sealed segment: a
+// finished job becomes its terminal record carrying its hash and spec,
+// an unfinished one its submitted record, which alone requeues it.
+// Crash-ordering makes this safe without a manifest: the compacted
+// records are appended before any file is removed, and replay is
+// idempotent under duplicates — a crash that leaves both the sealed
+// originals and the compacted copies replays to the same state. A torn
+// compacted segment loses whole jobs, never a finished job's terminal
+// state. Caller holds s.mu.
 func (s *Store) compactLocked() error {
 	for _, id := range s.order {
 		st := s.jobs[id]
-		sub, err := json.Marshal(Record{Op: OpSubmitted, ID: st.ID, Hash: st.Hash, Spec: st.Spec})
+		r := Record{Op: OpSubmitted, ID: st.ID, Hash: st.Hash, Spec: st.Spec}
+		if st.Finished() {
+			r.Op, r.Result, r.Error = st.Op, st.Result, st.Error
+		}
+		body, err := json.Marshal(r)
 		if err != nil {
 			return fmt.Errorf("jobstore: compacting %s: %w", id, err)
 		}
-		if err := s.w.Append(sub); err != nil {
-			return fmt.Errorf("jobstore: compacting %s: %w", id, err)
-		}
-		s.records++
-		var term json.RawMessage
-		switch st.Op {
-		case OpDone:
-			term, err = json.Marshal(Record{Op: OpDone, ID: st.ID, Hash: st.Hash, Result: st.Result})
-		case OpFailed:
-			term, err = json.Marshal(Record{Op: OpFailed, ID: st.ID, Error: st.Error})
-		default:
-			continue // unfinished: the submitted record alone requeues it
-		}
-		if err != nil {
-			return fmt.Errorf("jobstore: compacting %s: %w", id, err)
-		}
-		if err := s.w.Append(term); err != nil {
+		if err := s.w.Append(body); err != nil {
 			return fmt.Errorf("jobstore: compacting %s: %w", id, err)
 		}
 		s.records++

@@ -469,6 +469,135 @@ func TestResultByHash(t *testing.T) {
 	miss(s2, "hash-3")
 }
 
+// TestTerminalSpecsAndOneRecordCompaction: a done or failed record
+// with a spec replaces the job's submitted spec in the mirror, one
+// without (as Done and Failed write, and as earlier ledgers hold)
+// keeps it; compaction writes each finished job as one record, and
+// every job's ID, hash, spec, op, result and error survive it and a
+// replay, with Result serving by hash throughout.
+func TestTerminalSpecsAndOneRecordCompaction(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{CompactSegments: 1}
+	s, _, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := func(i int) string { return fmt.Sprintf("job-%06d", i) }
+	hash := func(i int) string { return fmt.Sprintf("hash-%d", i) }
+	finished := func(i int) json.RawMessage {
+		return json.RawMessage(fmt.Sprintf(`{"topology":"grid:8x8","seed":%d,"finished":true}`, i))
+	}
+	for i := 1; i <= 5; i++ {
+		if err := s.Submitted(id(i), hash(i), specJSON(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Append(Record{Op: OpDone, ID: id(1), Hash: hash(1), Spec: finished(1), Result: resultJSON(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(Record{Op: OpFailed, ID: id(2), Hash: hash(2), Spec: finished(2), Error: "boom"}); err != nil {
+		t.Fatal(err)
+	}
+	s.Done(id(3), hash(3), resultJSON(3))
+	s.Failed(id(4), "bang")
+	s.Running(id(5))
+	want := []JobState{
+		{ID: id(1), Hash: hash(1), Spec: finished(1), Op: OpDone, Result: resultJSON(1)},
+		{ID: id(2), Hash: hash(2), Spec: finished(2), Op: OpFailed, Error: "boom"},
+		{ID: id(3), Hash: hash(3), Spec: specJSON(3), Op: OpDone, Result: resultJSON(3)},
+		{ID: id(4), Hash: hash(4), Spec: specJSON(4), Op: OpFailed, Error: "bang"},
+		{ID: id(5), Hash: hash(5), Spec: specJSON(5), Op: OpRunning},
+	}
+	sameJobs := func(stage string, got []JobState) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d jobs, want %d", stage, len(got), len(want))
+		}
+		for i, g := range got {
+			w := want[i]
+			if g.ID != w.ID || g.Hash != w.Hash || string(g.Spec) != string(w.Spec) || g.Op != w.Op ||
+				string(g.Result) != string(w.Result) || g.Error != w.Error {
+				t.Errorf("%s: job %d is\n%s\nwant\n%s", stage, i, showJob(g), showJob(w))
+			}
+		}
+	}
+	results := func(stage string, s *Store) {
+		t.Helper()
+		for _, i := range []int{1, 3} {
+			if got, ok := s.Result(hash(i)); !ok || string(got) != string(resultJSON(i)) {
+				t.Errorf("%s: Result(%s) = %s, %v; want %s", stage, hash(i), got, ok, resultJSON(i))
+			}
+		}
+		for _, i := range []int{2, 4, 5} {
+			if got, ok := s.Result(hash(i)); ok {
+				t.Errorf("%s: Result(%s) = %s, want a miss", stage, hash(i), got)
+			}
+		}
+	}
+	mirror := func() []JobState {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		var jobs []JobState
+		for _, id := range s.order {
+			jobs = append(jobs, *s.jobs[id])
+		}
+		return jobs
+	}
+	sameJobs("mirror", mirror())
+	results("mirror", s)
+
+	// Two rotations leave two sealed segments, one more than
+	// CompactSegments allows: the live state is rewritten into a fresh
+	// segment and the sealed ones are deleted.
+	s.mu.Lock()
+	for s.compactions == 0 {
+		if err := s.rotateLocked(); err != nil {
+			s.mu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	compacted := s.w.Path()
+	s.mu.Unlock()
+	sameJobs("compacted mirror", mirror())
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	scan, err := snapfile.ScanRecords(compacted, segKind, segVersion)
+	if err != nil || !scan.Clean {
+		t.Fatalf("compacted segment: %v %+v", err, scan)
+	}
+	if len(scan.Records) != len(want) {
+		t.Fatalf("compaction wrote %d records for %d jobs, want one each", len(scan.Records), len(want))
+	}
+	for i, body := range scan.Records {
+		var r Record
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		wantOp := want[i].Op
+		if wantOp == OpRunning {
+			wantOp = OpSubmitted // an unfinished job compacts to its submitted record
+		}
+		if r.ID != want[i].ID || r.Op != wantOp || string(r.Spec) != string(want[i].Spec) {
+			t.Errorf("compacted record %d: %s", i, body)
+		}
+	}
+
+	s2, rec, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	want[4].Op = OpSubmitted
+	sameJobs("replay", rec.Jobs)
+	results("replay", s2)
+}
+
+// showJob renders a job state with its raw JSON fields as text.
+func showJob(j JobState) string {
+	return fmt.Sprintf("%s %s hash %s spec %s result %s error %q", j.ID, j.Op, j.Hash, j.Spec, j.Result, j.Error)
+}
+
 // TestResultDuringAppends: Result reads the hash index while other
 // goroutines append to the store (the engine's submitters and workers
 // share one ledger); run it under -race.

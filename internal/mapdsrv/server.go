@@ -168,10 +168,13 @@ func (s *server) submitJob(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r) {
 		return
 	}
-	var spec engine.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	body, err := readBody(w, r, s.maxBody)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("reading job spec: %w", err))
+		return
+	}
+	spec, err := engine.DecodeSpec(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}
@@ -188,6 +191,20 @@ func (s *server) submitJob(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeError(w, http.StatusServiceUnavailable, err)
 	}
+}
+
+// readBody reads a request body of at most limit bytes, as the
+// router's readBody does, into a slice of exactly its length when the
+// request declares one. Reading it whole before decoding refuses a
+// body past the limit even when its JSON value ends earlier.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	if n := r.ContentLength; n >= 0 && n <= limit {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(body, buf)
+		return buf, err
+	}
+	return io.ReadAll(body)
 }
 
 func (s *server) submitBatch(w http.ResponseWriter, r *http.Request) {

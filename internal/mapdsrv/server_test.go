@@ -186,6 +186,31 @@ func TestMapdErrors(t *testing.T) {
 	}
 }
 
+// TestMapdRefusesBodyPaddedPastLimit: a valid job spec followed by
+// padding that takes the body past MaxBody is refused whole with 400,
+// as the router refuses it, not decoded up to the spec's end.
+func TestMapdRefusesBodyPaddedPastLimit(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1})
+	srv := httptest.NewServer(New(eng, Config{MaxBody: 1 << 10}))
+	t.Cleanup(func() {
+		srv.Close()
+		eng.Close()
+	})
+	spec := `{"graph": {"n": 9, "edges": [[0,1,1]]}, "topology": "grid:2x2"}`
+	for _, tc := range []struct {
+		pad  int
+		want int
+	}{{1<<10 - len(spec), http.StatusAccepted}, {1<<10 - len(spec) + 1, http.StatusBadRequest}} {
+		var out struct {
+			Error string `json:"error"`
+		}
+		code := postJSON(t, srv.URL+"/v1/jobs", spec+strings.Repeat(" ", tc.pad), &out)
+		if code != tc.want || (code == http.StatusBadRequest) != strings.Contains(out.Error, "request body too large") {
+			t.Errorf("%d-byte body: status %d, error %q; want %d", len(spec)+tc.pad, code, out.Error, tc.want)
+		}
+	}
+}
+
 // TestMapdSubmitOmitsInlineEdges: the 202 answer to an inline-graph
 // job does not echo the edge list, so its size does not grow with the
 // graph's.
