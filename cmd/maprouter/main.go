@@ -46,7 +46,7 @@ func main() {
 		brkThresh = flag.Int("breaker-threshold", 3, "consecutive failures that open a replica's circuit breaker")
 		brkCool   = flag.Duration("breaker-cooldown", 2*time.Second, "open-breaker cooldown before a half-open trial")
 		upTimeout = flag.Duration("upstream-timeout", 60*time.Second, "deadline of one upstream request attempt")
-		retain    = flag.Int("retain-jobs", 0, "routed-job records kept before the oldest are forgotten (0 = default 4096)")
+		retain    = flag.Int("retain-jobs", 0, "routed-job records kept before the oldest finished ones are forgotten (0 = default 4096)")
 	)
 	flag.Parse()
 	if *replicas == "" {

@@ -79,16 +79,6 @@ func Paper() Spec {
 // Matrices lists the canonical matrices by name.
 func Matrices() []Spec { return []Spec{Smoke(), SmokeShared(), Paper()} }
 
-// ByName returns the canonical matrix with the given name.
-func ByName(name string) (Spec, error) {
-	for _, m := range Matrices() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("bench: unknown matrix %q (want smoke, smoke-shared or paper)", name)
-}
-
 // LoadSpec reads a matrix spec from a JSON file.
 func LoadSpec(path string) (Spec, error) {
 	data, err := os.ReadFile(path)

@@ -115,10 +115,7 @@ func TestDefaultRunReportsPartitionColumns(t *testing.T) {
 }
 
 func TestSmokeSharedMatrix(t *testing.T) {
-	s, err := ByName("smoke-shared")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := SmokeShared()
 	if !s.SharedPartition {
 		t.Error("smoke-shared is not in shared-partition mode")
 	}

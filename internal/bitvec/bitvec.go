@@ -42,9 +42,6 @@ func (l Label) SetBit(i int, b uint64) Label {
 	return Label((uint64(l) &^ mask) | (b&1)<<uint(i))
 }
 
-// FlipBit returns l with digit i inverted.
-func (l Label) FlipBit(i int) Label { return l ^ Label(uint64(1)<<uint(i)) }
-
 // Hamming returns the Hamming distance between a and b.
 func Hamming(a, b Label) int { return bits.OnesCount64(uint64(a ^ b)) }
 
@@ -91,35 +88,6 @@ func (l Label) String(dim int) string {
 	return sb.String()
 }
 
-// Parse converts a binary string (most significant digit first) into a
-// Label.
-func Parse(s string) (Label, error) {
-	if len(s) > MaxDim {
-		return 0, fmt.Errorf("bitvec: label %q longer than %d digits", s, MaxDim)
-	}
-	var l Label
-	for _, c := range s {
-		switch c {
-		case '0':
-			l <<= 1
-		case '1':
-			l = l<<1 | 1
-		default:
-			return 0, fmt.Errorf("bitvec: invalid digit %q in label %q", c, s)
-		}
-	}
-	return l, nil
-}
-
-// MustParse is Parse that panics on error; for tests and examples.
-func MustParse(s string) Label {
-	l, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
 // Permutation is a bijection on digit positions {0, ..., dim-1}.
 // Applying it builds the permuted label l' with l'[j] = l[p[j]]
 // (paper Section 6.1, line 7 of Algorithm 1: la ← π(la)).
@@ -151,45 +119,11 @@ func Random(rng *rand.Rand, dim int) Permutation {
 	return p
 }
 
-// Valid reports whether p is a bijection on {0, ..., len(p)-1}.
-func (p Permutation) Valid() bool {
-	seen := uint64(0)
-	for _, x := range p {
-		if int(x) >= len(p) {
-			return false
-		}
-		if seen&(1<<x) != 0 {
-			return false
-		}
-		seen |= 1 << x
-	}
-	return true
-}
-
 // Apply permutes the digits of l: result digit j = l digit p[j].
 func (p Permutation) Apply(l Label) Label {
 	var r Label
 	for j, src := range p {
 		r |= Label(l.Bit(int(src))) << uint(j)
-	}
-	return r
-}
-
-// Inverse returns the inverse permutation.
-func (p Permutation) Inverse() Permutation {
-	inv := make(Permutation, len(p))
-	for j, src := range p {
-		inv[src] = uint8(j)
-	}
-	return inv
-}
-
-// ApplyMask permutes a digit-position mask the same way Apply permutes
-// labels, so that masks and labels stay consistent under permutation.
-func (p Permutation) ApplyMask(mask uint64) uint64 {
-	var r uint64
-	for j, src := range p {
-		r |= (mask >> src & 1) << uint(j)
 	}
 	return r
 }

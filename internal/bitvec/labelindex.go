@@ -63,9 +63,6 @@ func (ix *LabelIndex) slot(key Label) uint64 {
 	return (uint64(key) * fibMult) >> ix.shift
 }
 
-// Len returns the number of entries.
-func (ix *LabelIndex) Len() int { return ix.n }
-
 // Get returns the value stored under key.
 func (ix *LabelIndex) Get(key Label) (int32, bool) {
 	for i := ix.slot(key); ; i = (i + 1) & ix.mask {

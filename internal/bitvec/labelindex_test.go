@@ -38,8 +38,8 @@ func TestLabelIndexMatchesMap(t *testing.T) {
 				t.Fatalf("op %d: Get(%d) = (%d,%v), want (%d,%v)", op, key, got, ok, want, refOk)
 			}
 		}
-		if ix.Len() != len(ref) {
-			t.Fatalf("op %d: Len = %d, map has %d", op, ix.Len(), len(ref))
+		if ix.n != len(ref) {
+			t.Fatalf("op %d: n = %d, map has %d", op, ix.n, len(ref))
 		}
 	}
 }

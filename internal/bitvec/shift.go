@@ -22,9 +22,6 @@ type ShiftTable struct {
 	ops []ShiftOp
 }
 
-// Ops returns the compiled ops (read-only view, for tests and sizing).
-func (t *ShiftTable) Ops() []ShiftOp { return t.ops }
-
 // CompileInto compiles p (result digit j = source digit p[j]) into t.
 func (t *ShiftTable) CompileInto(p Permutation) {
 	var masks [2*MaxDim - 1]uint64
@@ -65,12 +62,4 @@ func (t *ShiftTable) Apply(l Label) Label {
 		}
 	}
 	return Label(r)
-}
-
-// Table compiles p into a fresh ShiftTable (convenience; hot paths keep
-// a table and CompileInto it).
-func (p Permutation) Table() *ShiftTable {
-	t := &ShiftTable{}
-	t.CompileInto(p)
-	return t
 }

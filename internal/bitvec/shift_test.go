@@ -39,11 +39,11 @@ func TestShiftTableMatchesApply(t *testing.T) {
 func TestShiftTableStructuredOps(t *testing.T) {
 	var tab ShiftTable
 	tab.CompileInto(Identity(32))
-	if n := len(tab.Ops()); n != 1 {
+	if n := len(tab.ops); n != 1 {
 		t.Errorf("identity compiles to %d ops, want 1", n)
 	}
 	tab.CompileInto(Reverse(16))
-	if n := len(tab.Ops()); n != 16 {
+	if n := len(tab.ops); n != 16 {
 		t.Errorf("reversal on 16 digits compiles to %d ops, want 16", n)
 	}
 }

@@ -278,7 +278,8 @@ func TestContract(t *testing.T) {
 
 func TestSuffixTrie(t *testing.T) {
 	labels := []bitvec.Label{0b000, 0b011, 0b101}
-	trie := newSuffixTrie(labels, 3)
+	var trie suffixTrie
+	trie.build(labels, 3)
 	// Suffix digit 0: 0 and 1 both present.
 	if trie.step(0, 0) < 0 || trie.step(0, 1) < 0 {
 		t.Fatal("both digit-0 suffixes should exist")
@@ -303,7 +304,8 @@ func TestSuffixTrie(t *testing.T) {
 func TestSuffixTrieClaiming(t *testing.T) {
 	// After claiming the only label with suffix "1", that branch closes.
 	labels := []bitvec.Label{0b00, 0b10, 0b01}
-	trie := newSuffixTrie(labels, 2)
+	var trie suffixTrie
+	trie.build(labels, 2)
 	n1 := trie.step(0, 1) // suffix 1: only 01
 	n01 := trie.step(n1, 0)
 	if n01 < 0 {
@@ -623,18 +625,5 @@ func TestEnhanceZeroValueScratch(t *testing.T) {
 	}
 	if a.SwapsApplied > 0 && a.SwapGain >= 0 {
 		t.Errorf("SwapGain = %d with %d swaps applied, want < 0", a.SwapGain, a.SwapsApplied)
-	}
-}
-
-func TestEnhanceMappingWrapper(t *testing.T) {
-	topo, _ := topology.Hypercube(2)
-	ga := randomGraph(16, 30, 51)
-	assign := balancedAssign(16, 4, 52)
-	out, err := EnhanceMapping(ga, topo, assign, 5, 53)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mapping.Validate(ga, out, topo, 0.0); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -148,12 +148,6 @@ func (t *suffixTrie) build(labels []bitvec.Label, dim int) {
 	}
 }
 
-func newSuffixTrie(labels []bitvec.Label, dim int) *suffixTrie {
-	t := &suffixTrie{}
-	t.build(labels, dim)
-	return t
-}
-
 // step returns the child of node along digit b if it still has unclaimed
 // labels, or -1.
 func (t *suffixTrie) step(node int32, b uint64) int32 {

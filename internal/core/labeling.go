@@ -116,12 +116,6 @@ func (l *Labeling) Coco() int64 {
 	return cocoOfLabels(l.Ga, l.Labels, l.LpMask())
 }
 
-// Div evaluates the diversity objective of Eq. (12): Σ over edges of
-// ωa(e)·h(le(u), le(v)).
-func (l *Labeling) Div() int64 {
-	return cocoOfLabels(l.Ga, l.Labels, l.ExtMask())
-}
-
 // CocoPlus evaluates the combined objective of Eq. (14):
 // Coco(la) − Div(la).
 func (l *Labeling) CocoPlus() int64 {

@@ -372,13 +372,3 @@ func runHierarchies(lab *Labeling, opt Options, rng *rand.Rand, res *Result, sc 
 	// lets the pool reclaim those Scratches.
 	clear(trials)
 }
-
-// EnhanceMapping is a convenience wrapper returning only the enhanced
-// assignment.
-func EnhanceMapping(ga *graph.Graph, topo *topology.Topology, assign []int32, nh int, seed int64) ([]int32, error) {
-	res, err := Enhance(ga, topo, assign, Options{NumHierarchies: nh, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return res.Assign, nil
-}

@@ -151,25 +151,14 @@ func (e *Engine) IngestPath(path string, opt ingest.Options) (GraphInfo, error) 
 	return rec.info, nil
 }
 
-// IngestBytes loads an uploaded graph (mapd's POST /v1/graphs body) and
-// registers it under "upload:<fingerprint>" — the reference is the
-// content address, so uploading the same bytes twice (under any name)
-// dedups onto one registration and one cache entry. The bool reports
-// whether the content was already registered.
-func (e *Engine) IngestBytes(name string, data []byte, opt ingest.Options) (GraphInfo, bool, error) {
-	res, err := ingest.LoadBytes(name, data, opt)
-	if err != nil {
-		e.ingestError()
-		return GraphInfo{}, false, err
-	}
-	return e.registerUpload(name, res, opt)
-}
-
-// IngestSpool loads an uploaded graph that the caller spooled to a file
-// and registers it under "upload:<fingerprint>" — identical semantics
-// to IngestBytes, but streaming: the upload is parsed straight off the
-// spool in the loader's two passes and never has to be resident as one
-// contiguous byte slice. The spool file belongs to the caller (mapd
+// IngestSpool loads an uploaded graph (mapd's POST /v1/graphs body)
+// that the caller spooled to a file and registers it under
+// "upload:<fingerprint>" — the reference is the content address, so
+// uploading the same bytes twice (under any name) dedups onto one
+// registration and one cache entry. The bool reports whether the
+// content was already registered. The upload is parsed straight off
+// the spool in the loader's two passes and never has to be resident as
+// one contiguous byte slice. The spool file belongs to the caller (mapd
 // deletes it after this returns); the registration keeps no path, so an
 // evicted upload must be uploaded again rather than re-read from a
 // temp file that no longer exists.
@@ -179,13 +168,6 @@ func (e *Engine) IngestSpool(name, path string, opt ingest.Options) (GraphInfo, 
 		e.ingestError()
 		return GraphInfo{}, false, err
 	}
-	return e.registerUpload(name, res, opt)
-}
-
-// registerUpload is the shared tail of the two upload ingests: register
-// the loaded graph under its content address and make it resident,
-// dedupping onto any existing registration of the same bytes.
-func (e *Engine) registerUpload(name string, res *ingest.Result, opt ingest.Options) (GraphInfo, bool, error) {
 	ref := "upload:" + res.Fingerprint.String()
 	e.ingestMu.Lock()
 	existing, dup := e.ingests[ref]

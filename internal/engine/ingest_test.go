@@ -2,6 +2,7 @@ package engine
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -78,17 +79,14 @@ func TestIngestPathAndRunByRef(t *testing.T) {
 	}
 }
 
-func TestIngestBytesDedupAndEvictionHealing(t *testing.T) {
-	data, err := os.ReadFile(grqcFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A one-entry artifact cache forces eviction on every insert.
+func TestIngestSpoolDedupAndEvictionHealing(t *testing.T) {
+	// The fixture stands in for mapd's spool file. A one-entry artifact
+	// cache forces eviction on every insert.
 	e := New(Options{Workers: 1})
 	defer e.Close()
 	e.artifacts = NewArtifactCache(1, 0)
 
-	info, dup, err := e.IngestBytes("ca-grqc.txt", data, ingest.Options{})
+	info, dup, err := e.IngestSpool("ca-grqc.txt", grqcFixture, ingest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +100,7 @@ func TestIngestBytesDedupAndEvictionHealing(t *testing.T) {
 	// Identical bytes under a different name dedup onto the same ref,
 	// and the resident entry registers an artifact-cache hit.
 	before := e.Artifacts().Stats().Hits
-	info2, dup2, err := e.IngestBytes("other-name.txt", data, ingest.Options{})
+	info2, dup2, err := e.IngestSpool("other-name.txt", grqcFixture, ingest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +125,7 @@ func TestIngestBytesDedupAndEvictionHealing(t *testing.T) {
 	}
 
 	// Re-uploading the bytes heals the reference.
-	if _, _, err := e.IngestBytes("ca-grqc.txt", data, ingest.Options{}); err != nil {
+	if _, _, err := e.IngestSpool("ca-grqc.txt", grqcFixture, ingest.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	g, err := e.GraphByRef(info.Ref)
@@ -180,7 +178,11 @@ func TestGraphsListingAndUnknownRef(t *testing.T) {
 	if _, err := e.IngestPath(grqcFixture, ingest.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.IngestBytes("x", []byte("1 2\n2 3\n3 4\n"), ingest.Options{}); err != nil {
+	spool := filepath.Join(t.TempDir(), "spool")
+	if err := os.WriteFile(spool, []byte("1 2\n2 3\n3 4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.IngestSpool("x", spool, ingest.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	gs := e.Graphs()

@@ -118,8 +118,9 @@ func (rt *Router) submitBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding batch spec: %w", err))
 		return
 	}
-	// The routed-job table keeps only the newest RetainJobs IDs, so a
-	// larger batch would lose its first jobs before the client polls.
+	// Past RetainJobs records the router forgets finished jobs, read or
+	// not, so a larger batch could lose its first jobs before the client
+	// polls them.
 	specs, err := engine.ExpandBatch(batch, rt.cfg.RetainJobs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

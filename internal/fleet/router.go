@@ -34,8 +34,10 @@ type Config struct {
 	// ClientID is the X-Client-ID the router presents upstream
 	// (default "maprouter").
 	ClientID string
-	// RetainJobs bounds the routed-job table; the oldest entries are
-	// forgotten beyond it (default 4096).
+	// RetainJobs bounds the routed-job table (default 4096). Beyond it
+	// the router forgets its oldest jobs once they have finished,
+	// whether or not a client read them; a job its replica still queues
+	// or runs is kept however many follow it.
 	RetainJobs int
 }
 
@@ -72,7 +74,10 @@ type routedJob struct {
 	body     []byte // spec JSON: the client's request body, or a batch job's encoding; nil once final
 	rep      *Replica
 	remoteID string
-	final    *engine.Job // the relayed done or failed snapshot, under the router ID
+	// final is the relayed done or failed snapshot, under the router ID.
+	// It is set under mu; trimLocked reads it without mu, so eviction
+	// never waits on a placement a failover holds.
+	final atomic.Pointer[engine.Job]
 }
 
 // state returns the job's final snapshot, or nil and its current
@@ -80,7 +85,7 @@ type routedJob struct {
 func (rj *routedJob) state() (*engine.Job, *Replica, string) {
 	rj.mu.Lock()
 	defer rj.mu.Unlock()
-	return rj.final, rj.rep, rj.remoteID
+	return rj.final.Load(), rj.rep, rj.remoteID
 }
 
 // settle keeps job, under the router ID, as the final snapshot if it is
@@ -95,11 +100,12 @@ func (rj *routedJob) settle(job engine.Job) {
 
 // settleLocked is settle for a caller that holds rj.mu.
 func (rj *routedJob) settleLocked(job engine.Job) {
-	if rj.final != nil || (job.Status != engine.StatusDone && job.Status != engine.StatusFailed) {
+	if rj.final.Load() != nil || (job.Status != engine.StatusDone && job.Status != engine.StatusFailed) {
 		return
 	}
 	job.ID = rj.id
-	rj.final, rj.body = &job, nil
+	rj.final.Store(&job)
+	rj.body = nil
 }
 
 // Router is the fleet's routing proxy: an http.Handler speaking the
@@ -148,22 +154,6 @@ func (rt *Router) Close() { rt.cancel() }
 // first rendezvous choice — each one is a replica the router routed
 // around.
 func (rt *Router) Failovers() int64 { return rt.failovers.Load() }
-
-// Requeues counts jobs resubmitted to another replica after their
-// placement died mid-flight.
-func (rt *Router) Requeues() int64 { return rt.requeues.Load() }
-
-// HomeOf returns the base URL of the replica that rendezvous hashing
-// ranks first for key — the replica a job with that routing key is
-// placed on while the whole fleet is healthy. Chaos harnesses use it
-// to pick a victim that is guaranteed to hold work.
-func (rt *Router) HomeOf(key string) string {
-	ranked := rankReplicas(rt.replicas, key)
-	if len(ranked) == 0 {
-		return ""
-	}
-	return ranked[0].Name
-}
 
 // routingKey derives the rendezvous key for a spec: its canonical spec
 // hash when it has one (the common case — everything arriving as JSON
@@ -220,13 +210,17 @@ func (rt *Router) place(ctx context.Context, body []byte, key string, avoid *Rep
 	return nil, engine.Job{}, lastErr
 }
 
-// register files a placed job under a fresh router ID, evicting the
-// oldest record past the retention bound. A placement answered with a
-// final snapshot (a resubmission the replica's ledger served) is filed
-// final.
+// register files a placed job under a fresh router ID. A placement
+// answered with a final snapshot (a resubmission the replica's ledger
+// served) is filed final. Past the retention bound, register forgets
+// the oldest records it has relayed as final and asks the replicas of
+// the oldest others, at most two a call, whether they are finished: a
+// job still queued or running moves to the back of the order, and the
+// rest are forgotten, read or not. So the table holds RetainJobs
+// records plus the unfinished jobs the replicas' queues bound, and two
+// checks against the one record added let it drain back to the bound.
 func (rt *Router) register(body []byte, key string, rep *Replica, remote engine.Job) *routedJob {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	rt.seq++
 	rj := &routedJob{
 		id: fmt.Sprintf("fl-%06d", rt.seq), body: body, key: key,
@@ -235,11 +229,53 @@ func (rt *Router) register(body []byte, key string, rep *Replica, remote engine.
 	rj.settle(remote)
 	rt.jobs[rj.id] = rj
 	rt.order = append(rt.order, rj.id)
-	for len(rt.order) > rt.cfg.RetainJobs {
-		delete(rt.jobs, rt.order[0])
-		rt.order = rt.order[1:]
+	for checks := 0; checks < 2; checks++ {
+		old := rt.trimLocked()
+		if old == nil {
+			break
+		}
+		rt.mu.Unlock()
+		live := rt.unfinished(old)
+		rt.mu.Lock()
+		if live {
+			rt.order = append(rt.order, old.id)
+		} else {
+			delete(rt.jobs, old.id)
+		}
 	}
+	rt.mu.Unlock()
 	return rj
+}
+
+// trimLocked forgets final records from the front of the order while
+// the table is past the retention bound. It returns the first live
+// record it meets, taken off the order but still reachable by ID, for
+// the caller to check with its replica. Caller holds rt.mu.
+func (rt *Router) trimLocked() *routedJob {
+	for len(rt.order) > rt.cfg.RetainJobs {
+		rj := rt.jobs[rt.order[0]]
+		rt.order = rt.order[1:]
+		if rj.final.Load() == nil {
+			return rj
+		}
+		delete(rt.jobs, rj.id)
+	}
+	return nil
+}
+
+// unfinished asks rj's replica, within ProbeTimeout, whether the job is
+// still queued, running or interrupted there. A job relayed as final, a
+// replica the prober finds down, and one that has forgotten the job or
+// does not answer all count as finished.
+func (rt *Router) unfinished(rj *routedJob) bool {
+	final, rep, remoteID := rj.state()
+	if final != nil || !(rep.ready.Load() || rep.draining.Load()) {
+		return false
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	defer cancel()
+	job, err := rep.client.GetJob(ctx, remoteID)
+	return err == nil && job.Status != engine.StatusDone && job.Status != engine.StatusFailed
 }
 
 // requeue moves the job off dead: resubmits its request bytes to the
@@ -255,7 +291,7 @@ func (rt *Router) requeue(ctx context.Context, rj *routedJob, dead *Replica, dea
 	// performs the move and the rest adopt its result.
 	rj.mu.Lock()
 	defer rj.mu.Unlock()
-	if rj.final != nil || rj.rep != dead || rj.remoteID != deadRemoteID {
+	if rj.final.Load() != nil || rj.rep != dead || rj.remoteID != deadRemoteID {
 		return nil // final, or another waiter already moved it
 	}
 	rep, job, err := rt.place(ctx, rj.body, rj.key, dead)

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,7 +93,7 @@ func fastRouter(t *testing.T, replicaURLs []string) (*fleet.Router, *httptest.Se
 // the one holding a job with that routing key while the fleet is
 // healthy.
 func homeReplica(rt *fleet.Router, key string) *fleet.Replica {
-	url := rt.HomeOf(key)
+	url := rt.HomeOfForTest(key)
 	for _, rep := range rt.ReplicasForTest() {
 		if rep.Name == url {
 			return rep
@@ -425,14 +426,14 @@ func TestRouterServesFinalJobsAfterReplicaDeath(t *testing.T) {
 	for _, p := range paths {
 		before[p] = get(p)
 	}
-	failovers, requeues := rt.Failovers(), rt.Requeues()
+	failovers, requeues := rt.Failovers(), rt.RequeuesForTest()
 
 	key, ok := engine.SpecHash(spec)
 	if !ok {
 		t.Fatal("spec has no hash")
 	}
 	for _, r := range replicas {
-		if r.url() == rt.HomeOf(key) {
+		if r.url() == rt.HomeOfForTest(key) {
 			r.kill()
 		}
 	}
@@ -451,7 +452,7 @@ func TestRouterServesFinalJobsAfterReplicaDeath(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if f, q := rt.Failovers(), rt.Requeues(); f != failovers || q != requeues {
+	if f, q := rt.Failovers(), rt.RequeuesForTest(); f != failovers || q != requeues {
 		t.Errorf("reading final jobs moved them: failovers %d -> %d, requeues %d -> %d", failovers, f, requeues, q)
 	}
 }
@@ -730,6 +731,141 @@ func TestRouterRefusesBatchBeyondRetention(t *testing.T) {
 	defer mu.Unlock()
 	if posts != 0 {
 		t.Errorf("the router placed %d jobs of refused batches", posts)
+	}
+}
+
+// retainingRouter serves a router with the given RetainJobs over one
+// stub replica that accepts every job as running under job-NNNNNN and
+// answers each later read of job N with status(N). It returns the
+// router's URL.
+func retainingRouter(t *testing.T, retain int, status func(n int) string) string {
+	t.Helper()
+	var posts atomic.Int64
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprintf(w, `{"id": "job-%06d", "status": "running"}`, posts.Add(1))
+		case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
+			id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
+			n, _ := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+			fmt.Fprintf(w, `{"id": %q, "status": %q}`, id, status(n))
+		default:
+			io.WriteString(w, `{}`) // /readyz and /healthz: ready
+		}
+	}))
+	t.Cleanup(replica.Close)
+	rt, err := fleet.NewRouter(fleet.Config{
+		Replicas:      []string{replica.URL},
+		ProbeInterval: 30 * time.Millisecond,
+		RetainJobs:    retain,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		rt.Close()
+	})
+	waitUsable(t, rt, 1)
+	return srv.URL
+}
+
+// submitUnread posts a job to the router and reads only its status.
+func submitUnread(t *testing.T, url string, seed int64) {
+	t.Helper()
+	body, err := json.Marshal(testSpec(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+}
+
+// expectStatus reads job id through the router and requires status want.
+func expectStatus(t *testing.T, url, id string, want int) {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != want {
+		t.Errorf("GET %s: status %d %s, want %d", id, resp.StatusCode, msg, want)
+	}
+}
+
+// routedJobs reads the size of the router's job table from /v1/stats.
+func routedJobs(t *testing.T, url string) int {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		RoutedJobs int `json:"routed_jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st.RoutedJobs
+}
+
+// TestRouterKeepsLiveJobsPastRetention: past RetainJobs the router
+// forgets a job only once its replica reports it finished, so a job
+// the replica still runs stays reachable however many jobs follow it.
+func TestRouterKeepsLiveJobsPastRetention(t *testing.T) {
+	var done atomic.Bool
+	url := retainingRouter(t, 2, func(int) string {
+		if done.Load() {
+			return "done"
+		}
+		return "running"
+	})
+	for seed := int64(1); seed <= 3; seed++ {
+		submitUnread(t, url, seed)
+	}
+	for _, id := range []string{"fl-000001", "fl-000002", "fl-000003"} {
+		expectStatus(t, url, id, http.StatusOK)
+	}
+	if n := routedJobs(t, url); n != 3 {
+		t.Errorf("routed_jobs %d with three running jobs, want 3", n)
+	}
+
+	// Once the replica reports them done, the next submission forgets
+	// the oldest two, and the table is back at the bound.
+	done.Store(true)
+	submitUnread(t, url, 4)
+	if n := routedJobs(t, url); n != 2 {
+		t.Errorf("routed_jobs %d once the jobs finished, want 2", n)
+	}
+	expectStatus(t, url, "fl-000001", http.StatusNotFound)
+	expectStatus(t, url, "fl-000004", http.StatusOK)
+}
+
+// TestRouterForgetsUnreadJobsPastRetention: jobs that finish without a
+// client ever reading them through the router do not grow its table
+// past RetainJobs.
+func TestRouterForgetsUnreadJobsPastRetention(t *testing.T) {
+	url := retainingRouter(t, 2, func(int) string { return "done" })
+	for seed := int64(1); seed <= 8; seed++ {
+		submitUnread(t, url, seed)
+		if n := routedJobs(t, url); n > 2 {
+			t.Fatalf("routed_jobs %d after %d unread submissions, want at most 2", n, seed)
+		}
+	}
+	expectStatus(t, url, "fl-000001", http.StatusNotFound)
+	for _, id := range []string{"fl-000007", "fl-000008"} {
+		expectStatus(t, url, id, http.StatusOK)
 	}
 }
 

@@ -173,23 +173,3 @@ func Cycle(n int) *Graph {
 	}
 	return b.Build()
 }
-
-// Complete returns the complete graph on n vertices.
-func Complete(n int) *Graph {
-	b := NewBuilder(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			b.AddEdge(u, v, 1)
-		}
-	}
-	return b.Build()
-}
-
-// Star returns the star graph with center 0 and n-1 leaves.
-func Star(n int) *Graph {
-	b := NewBuilder(n)
-	for v := 1; v < n; v++ {
-		b.AddEdge(0, v, 1)
-	}
-	return b.Build()
-}

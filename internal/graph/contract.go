@@ -36,8 +36,8 @@ func Resize[T any](s []T, n int) []T {
 // ContractInto contracts g according to coarse (fine vertex -> coarse
 // vertex id in [0, nCoarse)) into dst, summing vertex weights and
 // aggregating edge weights; intra-group edges vanish. It computes the
-// same graph as ContractPairs (up to adjacency order) without building
-// an intermediate edge map.
+// same graph as Quotient (up to adjacency order) without building an
+// intermediate edge map.
 func (c *Contractor) ContractInto(dst *Graph, g *Graph, coarse []int32, nCoarse int) {
 	n := g.N()
 	if len(coarse) != n {
@@ -121,11 +121,11 @@ func (c *Contractor) ContractInto(dst *Graph, g *Graph, coarse []int32, nCoarse 
 }
 
 // ContractSortedInto is ContractInto with every adjacency row sorted by
-// neighbor id. The result is structurally identical to
-// ContractPairs/Quotient — Builder emits sorted rows — so call sites
-// whose tie-breaking depends on adjacency order (the multilevel
-// partitioner, the greedy mappers' communication graphs) can switch to
-// reused storage without perturbing a single decision.
+// neighbor id. The result is structurally identical to Quotient —
+// Builder emits sorted rows — so call sites whose tie-breaking depends
+// on adjacency order (the multilevel partitioner, the greedy mappers'
+// communication graphs) can switch to reused storage without
+// perturbing a single decision.
 //
 // It contracts into the Contractor's staging graph and transposes that
 // into dst: a contracted graph is symmetric, so scanning the staging

@@ -145,10 +145,10 @@ func sameCSR(t *testing.T, trial int, got, want *Graph) {
 	}
 }
 
-// TestContractSortedIntoMatchesContractPairs: the sorted reused-storage
-// contraction must equal the Builder-based ContractPairs exactly,
-// including adjacency order.
-func TestContractSortedIntoMatchesContractPairs(t *testing.T) {
+// TestContractSortedIntoMatchesQuotient: the sorted reused-storage
+// contraction must equal the Builder-based Quotient exactly, including
+// adjacency order.
+func TestContractSortedIntoMatchesQuotient(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var c Contractor
 	var dst Graph
@@ -164,7 +164,7 @@ func TestContractSortedIntoMatchesContractPairs(t *testing.T) {
 				coarse[v] = int32(rng.Intn(nCoarse))
 			}
 		}
-		want := g.ContractPairs(coarse, nCoarse)
+		want := g.Quotient(coarse, nCoarse)
 		c.ContractSortedInto(&dst, g, coarse, nCoarse)
 		if err := dst.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -9,10 +9,7 @@
 // concurrent readers.
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Graph is an immutable weighted undirected graph in CSR form.
 //
@@ -170,51 +167,6 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: cached total edge weight %d, recomputed %d", g.tew, tew)
 	}
 	return nil
-}
-
-// Stats summarizes basic structural properties of a graph.
-type Stats struct {
-	N, M            int
-	MinDeg, MaxDeg  int
-	AvgDeg          float64
-	TotalEdgeWeight int64
-	Components      int
-}
-
-// ComputeStats returns degree and connectivity statistics for g.
-func (g *Graph) ComputeStats() Stats {
-	s := Stats{N: g.N(), M: g.M(), TotalEdgeWeight: g.tew, MinDeg: math.MaxInt}
-	if g.N() == 0 {
-		s.MinDeg = 0
-		return s
-	}
-	for v := 0; v < g.N(); v++ {
-		d := g.Degree(v)
-		if d < s.MinDeg {
-			s.MinDeg = d
-		}
-		if d > s.MaxDeg {
-			s.MaxDeg = d
-		}
-	}
-	s.AvgDeg = float64(2*g.M()) / float64(g.N())
-	_, ncomp := g.Components()
-	s.Components = ncomp
-	return s
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	h := &Graph{
-		xadj: append([]int32(nil), g.xadj...),
-		adj:  append([]int32(nil), g.adj...),
-		ew:   append([]int64(nil), g.ew...),
-		vw:   append([]int64(nil), g.vw...),
-		m:    g.m,
-		tvw:  g.tvw,
-		tew:  g.tew,
-	}
-	return h
 }
 
 // String returns a short human-readable summary.

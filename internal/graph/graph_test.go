@@ -99,6 +99,26 @@ func TestVertexWeights(t *testing.T) {
 	}
 }
 
+// complete returns the complete graph on n vertices.
+func complete(n int) *Graph {
+	b := NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			b.AddEdge(u, v, 1)
+		}
+	}
+	return b.Build()
+}
+
+// star returns the star graph with center 0 and n-1 leaves.
+func star(n int) *Graph {
+	b := NewBuilder(n)
+	for v := 1; v < n; v++ {
+		b.AddEdge(0, v, 1)
+	}
+	return b.Build()
+}
+
 func TestPathCycleCompleteStar(t *testing.T) {
 	p := Path(5)
 	if p.M() != 4 || p.Degree(0) != 1 || p.Degree(2) != 2 {
@@ -108,11 +128,11 @@ func TestPathCycleCompleteStar(t *testing.T) {
 	if c.M() != 5 || c.Degree(0) != 2 {
 		t.Errorf("Cycle(5): unexpected structure %v", c)
 	}
-	k := Complete(5)
+	k := complete(5)
 	if k.M() != 10 || k.MaxDegree() != 4 {
 		t.Errorf("Complete(5): unexpected structure %v", k)
 	}
-	s := Star(5)
+	s := star(5)
 	if s.M() != 4 || s.Degree(0) != 4 || s.Degree(1) != 1 {
 		t.Errorf("Star(5): unexpected structure %v", s)
 	}
@@ -134,30 +154,22 @@ func TestBFSDistances(t *testing.T) {
 	}
 }
 
-func TestAllPairsShortestPaths(t *testing.T) {
-	g := Cycle(6)
-	d := g.AllPairsShortestPaths()
-	want := [][]int32{
-		{0, 1, 2, 3, 2, 1},
-		{1, 0, 1, 2, 3, 2},
-	}
-	for v, row := range want {
-		for u, x := range row {
-			if d[v][u] != x {
-				t.Errorf("d[%d][%d] = %d, want %d", v, u, d[v][u], x)
-			}
+func TestDiameterEccentricity(t *testing.T) {
+	// The diameter is the largest eccentricity.
+	for _, c := range []struct {
+		name string
+		g    *Graph
+		want int
+	}{{"Path(7)", Path(7), 6}, {"Cycle(8)", Cycle(8), 4}} {
+		diam := 0
+		for v := 0; v < c.g.N(); v++ {
+			diam = max(diam, c.g.Eccentricity(v))
+		}
+		if diam != c.want {
+			t.Errorf("%s diameter = %d, want %d", c.name, diam, c.want)
 		}
 	}
-}
-
-func TestDiameterEccentricity(t *testing.T) {
-	if d := Path(7).Diameter(); d != 6 {
-		t.Errorf("Path(7) diameter = %d, want 6", d)
-	}
-	if d := Cycle(8).Diameter(); d != 4 {
-		t.Errorf("Cycle(8) diameter = %d, want 4", d)
-	}
-	if e := Star(9).Eccentricity(0); e != 1 {
+	if e := star(9).Eccentricity(0); e != 1 {
 		t.Errorf("Star center eccentricity = %d, want 1", e)
 	}
 }
@@ -210,7 +222,7 @@ func TestIsBipartite(t *testing.T) {
 	if ok, _ := Cycle(5).IsBipartite(); ok {
 		t.Error("C5 is not bipartite")
 	}
-	if ok, _ := Complete(3).IsBipartite(); ok {
+	if ok, _ := complete(3).IsBipartite(); ok {
 		t.Error("K3 is not bipartite")
 	}
 	if ok, _ := Path(1).IsBipartite(); !ok {
@@ -282,22 +294,6 @@ func TestQuotientEmptyBlocks(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := Cycle(5)
-	h := g.Clone()
-	if h.N() != g.N() || h.M() != g.M() {
-		t.Fatal("clone differs")
-	}
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Mutating clone internals must not affect the original.
-	h.ew[0] = 99
-	if g.ew[0] == 99 {
-		t.Error("clone shares storage with original")
-	}
-}
-
 func TestMETISRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
@@ -366,13 +362,6 @@ func TestReadMETISErrors(t *testing.T) {
 		if _, err := ReadMETIS(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
-	}
-}
-
-func TestComputeStats(t *testing.T) {
-	s := Star(5).ComputeStats()
-	if s.N != 5 || s.M != 4 || s.MinDeg != 1 || s.MaxDeg != 4 || s.Components != 1 {
-		t.Errorf("unexpected stats %+v", s)
 	}
 }
 

@@ -125,11 +125,3 @@ func (g *Graph) Quotient(part []int32, k int) *Graph {
 	}
 	return b.Build()
 }
-
-// ContractPairs merges vertices according to coarse (fine vertex -> coarse
-// vertex id in [0, nCoarse)), summing vertex weights and aggregating edge
-// weights; intra-group edges vanish. It is Quotient with a clearer name
-// for coarsening call sites.
-func (g *Graph) ContractPairs(coarse []int32, nCoarse int) *Graph {
-	return g.Quotient(coarse, nCoarse)
-}

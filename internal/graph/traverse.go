@@ -37,24 +37,6 @@ func (g *Graph) BFSInto(src int, dist []int32, queue []int32) int {
 	return reached
 }
 
-// AllPairsShortestPaths returns the full distance matrix of g using one
-// BFS per vertex. Intended for processor graphs (|V| in the hundreds);
-// the result uses N*N int32 entries. Unreachable pairs hold -1.
-func (g *Graph) AllPairsShortestPaths() [][]int32 {
-	n := g.N()
-	d := make([][]int32, n)
-	flat := make([]int32, n*n)
-	for i := range flat {
-		flat[i] = -1
-	}
-	queue := make([]int32, 0, n)
-	for v := 0; v < n; v++ {
-		d[v] = flat[v*n : (v+1)*n]
-		g.BFSInto(v, d[v], queue)
-	}
-	return d
-}
-
 // Eccentricity returns the largest finite BFS distance from v.
 func (g *Graph) Eccentricity(v int) int {
 	dist := g.BFS(v)
@@ -65,18 +47,6 @@ func (g *Graph) Eccentricity(v int) int {
 		}
 	}
 	return int(ecc)
-}
-
-// Diameter returns the largest eccentricity over all vertices, computed
-// with n BFS runs. Intended for small (processor) graphs.
-func (g *Graph) Diameter() int {
-	diam := 0
-	for v := 0; v < g.N(); v++ {
-		if e := g.Eccentricity(v); e > diam {
-			diam = e
-		}
-	}
-	return diam
 }
 
 // Components labels each vertex with a component id in [0, count) and

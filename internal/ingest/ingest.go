@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -130,7 +129,8 @@ func LoadFile(path string, opt Options) (*Result, error) {
 // on-disk path. This is the spooled-upload loader — the bytes sit in a
 // temp file whose random name says nothing about their format, while
 // the client-supplied filename does. An empty name disables extension
-// detection, exactly like an unnamed LoadBytes upload.
+// detection: a Matrix Market header is still recognized, and anything
+// else loads as an edge list.
 func LoadFileAs(name, path string, opt Options) (*Result, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -149,21 +149,6 @@ func LoadFileAs(name, path string, opt Options) (*Result, error) {
 		size: fi.Size(),
 		open: func() (io.ReadCloser, error) { return os.Open(path) },
 		at:   f,
-	}
-	return timedLoad(src, opt)
-}
-
-// LoadBytes loads a graph from an in-memory input (the upload path of
-// mapd's POST /v1/graphs). name is only used for format detection and
-// errors; it may be empty.
-func LoadBytes(name string, data []byte, opt Options) (*Result, error) {
-	src := source{
-		name: name,
-		size: int64(len(data)),
-		open: func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(data)), nil
-		},
-		at: bytes.NewReader(data),
 	}
 	return timedLoad(src, opt)
 }

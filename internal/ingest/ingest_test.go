@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -23,6 +24,21 @@ func mustLoadFile(t *testing.T, path string, opt Options) *Result {
 		t.Fatalf("loaded graph invalid: %v", err)
 	}
 	return res
+}
+
+// LoadBytes loads a graph from an in-memory input, the way LoadFileAs
+// loads a spooled upload. name is only used for format detection and
+// errors; it may be empty.
+func LoadBytes(name string, data []byte, opt Options) (*Result, error) {
+	src := source{
+		name: name,
+		size: int64(len(data)),
+		open: func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(data)), nil
+		},
+		at: bytes.NewReader(data),
+	}
+	return timedLoad(src, opt)
 }
 
 func TestLoadSNAPExcerpt(t *testing.T) {

@@ -438,11 +438,6 @@ func (s *Store) Done(id, hash string, result json.RawMessage) error {
 	return s.Append(Record{Op: OpDone, ID: id, Hash: hash, Result: result})
 }
 
-// Failed logs a job's terminal failure, keeping its submitted spec.
-func (s *Store) Failed(id, errMsg string) error {
-	return s.Append(Record{Op: OpFailed, ID: id, Error: errMsg})
-}
-
 // Interrupted marks a job a draining engine never started; replay
 // requeues it.
 func (s *Store) Interrupted(id string) error {

@@ -49,7 +49,7 @@ func TestLifecycleReplay(t *testing.T) {
 	s.Running("job-000001")
 	s.Done("job-000001", "hash-1", resultJSON(1))
 	s.Running("job-000002")
-	s.Failed("job-000002", "boom")
+	s.Append(Record{Op: OpFailed, ID: "job-000002", Error: "boom"})
 	s.Running("job-000004")
 	s.Interrupted("job-000005")
 	if err := s.Close(); err != nil {
@@ -231,7 +231,7 @@ func writeMixedLog(tb testing.TB, n int) (string, []byte) {
 			s.Done(id, fmt.Sprintf("h%d", i), resultJSON(i))
 		case 1:
 			s.Running(id)
-			s.Failed(id, "torture failure")
+			s.Append(Record{Op: OpFailed, ID: id, Error: "torture failure"})
 		case 2:
 			s.Interrupted(id)
 		}
@@ -429,7 +429,7 @@ func TestResultByHash(t *testing.T) {
 	s.Submitted("job-000001", "hash-1", specJSON(1))
 	s.Done("job-000001", "hash-1", resultJSON(1))
 	s.Submitted("job-000002", "hash-2", specJSON(2))
-	s.Failed("job-000002", "boom")
+	s.Append(Record{Op: OpFailed, ID: "job-000002", Error: "boom"})
 	s.Submitted("job-000003", "hash-3", specJSON(3))
 	hit(s, "hash-1", resultJSON(1))
 	miss(s, "hash-2")
@@ -499,7 +499,7 @@ func TestTerminalSpecsAndOneRecordCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Done(id(3), hash(3), resultJSON(3))
-	s.Failed(id(4), "bang")
+	s.Append(Record{Op: OpFailed, ID: id(4), Error: "bang"})
 	s.Running(id(5))
 	want := []JobState{
 		{ID: id(1), Hash: hash(1), Spec: finished(1), Op: OpDone, Result: resultJSON(1)},

@@ -281,17 +281,10 @@ func (c *Client) WaitJob(ctx context.Context, id string) (engine.Job, error) {
 	}
 }
 
-// Stats fetches the server's /v1/stats document.
-func (c *Client) Stats(ctx context.Context) (map[string]any, error) {
-	var out map[string]any
-	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &out)
-	return out, err
-}
-
 // maxBatchJobs caps the jobs RunBatch expands a batch into. It is the
 // router's default retention window (fleet.Config.RetainJobs), past
-// which a router forgets a batch's first job IDs before they are
-// collected.
+// which a router forgets finished jobs, so a batch's first jobs could
+// be gone before they are collected.
 const maxBatchJobs = 4096
 
 // batchWorkers is how many of a batch's jobs RunBatch keeps in flight.

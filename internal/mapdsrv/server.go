@@ -1,8 +1,8 @@
 // Package mapdsrv implements the mapd HTTP API as an importable
-// handler: cmd/mapd mounts it on its listener, and the fleet layer
-// (internal/fleet, internal/bench's fleet probe, the chaos tests) uses
-// it to run real replica servers in-process or in killable child
-// processes instead of mocking the API.
+// handler: cmd/mapd mounts it on its listener, and internal/fleet's
+// router and chaos tests and perfbench's service workload use it to
+// run real replica servers in-process or in killable child processes
+// instead of mocking the API.
 package mapdsrv
 
 import (

@@ -17,16 +17,8 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/graph"
-	"repro/internal/partition"
 	"repro/internal/topology"
 )
-
-// Mapping is an assignment of application vertices to PEs of a topology.
-type Mapping struct {
-	// Assign maps each vertex of Ga to a PE in [0, Topo.P()).
-	Assign []int32
-	Topo   *topology.Topology
-}
 
 // Coco evaluates the paper's communication cost objective (Eq. (3)) for
 // an assignment: Σ over edges of ωa(e) times the hop distance between
@@ -191,10 +183,4 @@ func Compose(part []int32, nu []int32) []int32 {
 // partition is placed on PE i.
 func FromPartition(part []int32) []int32 {
 	return append([]int32(nil), part...)
-}
-
-// PartitionForTopology partitions ga into topo.P() blocks with the given
-// imbalance — the step shared by cases c2, c3 and c4.
-func PartitionForTopology(ga *graph.Graph, topo *topology.Topology, eps float64, seed int64) (*partition.Result, error) {
-	return partition.Partition(ga, partition.Config{K: topo.P(), Epsilon: eps, Seed: seed})
 }

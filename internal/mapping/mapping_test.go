@@ -268,7 +268,7 @@ func TestEndToEndPipelineC2(t *testing.T) {
 	// The full c2 pipeline: partition -> identity mapping -> metrics.
 	ga := randomGraph(400, 1200, 13)
 	tp, _ := topology.Grid(4, 4)
-	res, err := PartitionForTopology(ga, tp, 0.03, 17)
+	res, err := partition.Partition(ga, partition.Config{K: tp.P(), Epsilon: 0.03, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}

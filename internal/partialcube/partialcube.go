@@ -219,9 +219,3 @@ func (l *Labeling) Verify(g *graph.Graph) error {
 	}
 	return nil
 }
-
-// IsPartialCube is a convenience wrapper around Recognize.
-func IsPartialCube(g *graph.Graph) bool {
-	_, err := Recognize(g)
-	return err == nil
-}

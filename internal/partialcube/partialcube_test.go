@@ -287,15 +287,6 @@ func TestVerifyCatchesBadLabeling(t *testing.T) {
 	}
 }
 
-func TestIsPartialCube(t *testing.T) {
-	if !IsPartialCube(graph.Path(5)) {
-		t.Error("path should be a partial cube")
-	}
-	if IsPartialCube(graph.Complete(3)) {
-		t.Error("K3 is not a partial cube")
-	}
-}
-
 // gridGraph builds an a×b mesh without labels (for recognition tests).
 func gridGraph(a, b int) *graph.Graph {
 	bld := graph.NewBuilder(a * b)

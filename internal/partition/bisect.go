@@ -216,14 +216,6 @@ func (sc *Scratch) flipRebalance(g *graph.Graph, side []int32, gain []int64, v i
 	return w0
 }
 
-// rebalanceBisection is the standalone form for tests and external
-// callers; it borrows a pooled scratch.
-func rebalanceBisection(g *graph.Graph, side []int32, loL, hiL int64) {
-	sc := getScratch()
-	sc.rebalanceBisection(g, side, loL, hiL)
-	putScratch(sc)
-}
-
 // heapEntry is a lazily-invalidated max-heap entry.
 type heapEntry struct {
 	v    int32

@@ -69,8 +69,8 @@ func (sc *Scratch) heavyEdgeMatching(g *graph.Graph, rng *rand.Rand, maxBlockWei
 // buildHierarchy coarsens g until it has at most coarsestSize vertices
 // or contraction stalls, storing every level in the scratch (level 0 is
 // g itself). Coarse graphs are contracted into reused CSR storage with
-// sorted adjacency, so they are identical to the ContractPairs-built
-// graphs of the allocating path. Returns the number of levels in use.
+// sorted adjacency, so they are identical to the graphs Quotient
+// builds. Returns the number of levels in use.
 func (sc *Scratch) buildHierarchy(g *graph.Graph, cfg Config, rng *rand.Rand, maxBlockWeight int64) int {
 	sc.level(0).g = g
 	nlev := 1

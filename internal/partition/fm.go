@@ -91,14 +91,6 @@ func (sc *Scratch) refineBisection(g *graph.Graph, side []int32, loL, hiL int64,
 	sc.h, sc.moveLog = h, moveLog
 }
 
-// refineBisection is the standalone form for tests and external
-// callers; it borrows a pooled scratch.
-func refineBisection(g *graph.Graph, side []int32, loL, hiL int64, maxPasses int) {
-	sc := getScratch()
-	sc.refineBisection(g, side, loL, hiL, maxPasses)
-	putScratch(sc)
-}
-
 // moveGain is the cut reduction from moving v to the other side:
 // external minus internal incident weight.
 func moveGain(g *graph.Graph, side []int32, v int) int64 {

@@ -172,14 +172,6 @@ func (sc *Scratch) enforceBalance(g *graph.Graph, part []int32, cfg Config) {
 	}
 }
 
-// enforceBalance is the standalone form for tests and external
-// callers; it borrows a pooled scratch.
-func enforceBalance(g *graph.Graph, part []int32, cfg Config) {
-	sc := getScratch()
-	sc.enforceBalance(g, part, cfg)
-	putScratch(sc)
-}
-
 // blockWeightsInto computes block weights into the scratch's weights
 // buffer (the arena form of BlockWeights).
 func (sc *Scratch) blockWeightsInto(g *graph.Graph, part []int32, k int) []int64 {

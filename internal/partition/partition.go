@@ -259,13 +259,6 @@ func PartitionProportional(g *graph.Graph, cfg Config, frac float64, seed int64)
 	return sc.multilevelBisect(g, cfg, rng, frac, cfg.Epsilon), nil
 }
 
-// Evaluate computes cut and balance of a partition.
-func Evaluate(g *graph.Graph, part []int32, k int) *Result {
-	res := &Result{Part: part, K: k}
-	evaluateInto(res, g, part, make([]int64, k))
-	return res
-}
-
 // evaluateInto fills res.Cut/MaxBlock/Balance using weights (len K) as
 // scratch, so the warm Partition path evaluates without allocating.
 func evaluateInto(res *Result, g *graph.Graph, part []int32, weights []int64) {

@@ -164,7 +164,8 @@ func TestPartitionDeterministicPerSeed(t *testing.T) {
 func TestEvaluate(t *testing.T) {
 	g := graph.Path(4) // 0-1-2-3
 	part := []int32{0, 0, 1, 1}
-	res := Evaluate(g, part, 2)
+	res := &Result{Part: part, K: 2}
+	evaluateInto(res, g, part, make([]int64, 2))
 	if res.Cut != 1 {
 		t.Errorf("cut = %d, want 1", res.Cut)
 	}
@@ -226,7 +227,7 @@ func TestFMImprovesOrKeepsCut(t *testing.T) {
 	}
 	rng.Shuffle(len(side), func(i, j int) { side[i], side[j] = side[j], side[i] })
 	before := Cut(g, side)
-	refineBisection(g, side, 45, 55, 6)
+	NewScratch().refineBisection(g, side, 45, 55, 6)
 	after := Cut(g, side)
 	if after > before {
 		t.Errorf("FM worsened cut: %d -> %d", before, after)
@@ -243,7 +244,7 @@ func TestFMImprovesOrKeepsCut(t *testing.T) {
 func TestRebalanceBisection(t *testing.T) {
 	g := grid(6, 6)
 	side := make([]int32, g.N()) // all on side 0
-	rebalanceBisection(g, side, 15, 21)
+	NewScratch().rebalanceBisection(g, side, 15, 21)
 	w := sideWeight(g, side)
 	if w < 15 || w > 21 {
 		t.Errorf("rebalance failed: side-0 weight %d not in [15,21]", w)
@@ -254,7 +255,7 @@ func TestEnforceBalanceRepairsOverload(t *testing.T) {
 	g := grid(8, 8)
 	cfg := Config{K: 4, Epsilon: 0.03}.withDefaults()
 	part := make([]int32, g.N()) // everything in block 0: grossly unbalanced
-	enforceBalance(g, part, cfg)
+	NewScratch().enforceBalance(g, part, cfg)
 	if !IsBalanced(g, part, 4, 0.03) {
 		t.Errorf("enforceBalance left imbalance: %v", BlockWeights(g, part, 4))
 	}

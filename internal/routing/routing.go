@@ -80,36 +80,6 @@ func NewRouter(topo *topology.Topology) *Router {
 	return r
 }
 
-// Route returns the canonical shortest path from PE u to PE v,
-// inclusive of both endpoints. The path length always equals the
-// Hamming distance of the labels.
-func (r *Router) Route(u, v int) []int32 {
-	path := []int32{int32(u)}
-	dim := r.topo.Dim
-	cur := u
-	for cur != v {
-		diff := uint64(r.topo.Labels[cur] ^ r.topo.Labels[v])
-		moved := false
-		for j := 0; j < dim; j++ {
-			if diff>>uint(j)&1 == 0 {
-				continue
-			}
-			if q := r.next[cur*dim+j]; q >= 0 {
-				cur = int(q)
-				path = append(path, q)
-				moved = true
-				break
-			}
-		}
-		if !moved {
-			// Cannot happen on a partial cube: some differing digit is
-			// always flippable along a shortest path.
-			panic(fmt.Sprintf("routing: stuck at PE %d toward %d", cur, v))
-		}
-	}
-	return path
-}
-
 // Simulate routes every application edge's weight along its canonical
 // shortest path and aggregates link loads.
 func Simulate(ga *graph.Graph, assign []int32, topo *topology.Topology) (*Result, error) {

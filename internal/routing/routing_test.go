@@ -29,26 +29,20 @@ func allTopos(t *testing.T) []*topology.Topology {
 	return out
 }
 
+// TestRoutePathsAreShortest routes one unit between every PE pair: a
+// shortest path uses each of its Hamming-many links once.
 func TestRoutePathsAreShortest(t *testing.T) {
 	for _, tp := range allTopos(t) {
-		r := NewRouter(tp)
 		for u := 0; u < tp.P(); u++ {
 			for v := 0; v < tp.P(); v++ {
-				path := r.Route(u, v)
+				res, err := Simulate(graph.Path(2), []int32{int32(u), int32(v)}, tp)
+				if err != nil {
+					t.Fatal(err)
+				}
 				want := bitvec.Hamming(tp.Labels[u], tp.Labels[v])
-				if len(path)-1 != want {
-					t.Fatalf("%s: route %d->%d has %d hops, want %d",
-						tp.Name, u, v, len(path)-1, want)
-				}
-				if int(path[0]) != u || int(path[len(path)-1]) != v {
-					t.Fatalf("%s: path endpoints wrong", tp.Name)
-				}
-				// Consecutive PEs must be adjacent in Gp.
-				for i := 1; i < len(path); i++ {
-					if !tp.G.HasEdge(int(path[i-1]), int(path[i])) {
-						t.Fatalf("%s: route %d->%d uses non-edge {%d,%d}",
-							tp.Name, u, v, path[i-1], path[i])
-					}
+				if res.UsedLinks != want || (want > 0 && res.MaxLinkLoad != 1) {
+					t.Fatalf("%s: route %d->%d loads %d links (max load %d), want %d links once each",
+						tp.Name, u, v, res.UsedLinks, res.MaxLinkLoad, want)
 				}
 			}
 		}
@@ -104,22 +98,25 @@ func TestDimensionOrderOnGrid(t *testing.T) {
 	// On a grid with the unary coordinate labeling, the canonical route
 	// sorts moves by digit index, i.e. it finishes the x-dimension before
 	// the y-dimension (classic XY routing). Verify on a 4x4 grid:
-	// route from (0,0)=0 to (3,3)=15 must pass through (3,0)=3.
+	// route from (0,0)=0 to (3,3)=15 must load the link (2,0)->(3,0).
 	tp, err := topology.Grid(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(tp)
-	path := r.Route(0, 15)
-	seen3 := false
-	for _, p := range path {
-		if p == 3 {
-			seen3 = true
+	res, err := Simulate(graph.Path(2), []int32{0, 15}, tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbr, _ := tp.G.Neighbors(2)
+	for i, q := range nbr {
+		if q == 3 {
+			if load := res.LinkLoad[tp.G.HalfEdgeIndex(2, i)]; load != 1 {
+				t.Errorf("XY route 0->15 loads link 2->3 with %d, want 1", load)
+			}
+			return
 		}
 	}
-	if !seen3 {
-		t.Errorf("XY route 0->15 should pass PE 3, got %v", path)
-	}
+	t.Fatal("PEs 2 and 3 are not adjacent")
 }
 
 func TestCongestionDistinguishesMappings(t *testing.T) {

@@ -22,9 +22,6 @@ type DistanceTable struct {
 	D []uint8 // row-major, len P*P
 }
 
-// At returns the hop distance between PEs u and v.
-func (t *DistanceTable) At(u, v int) int { return int(t.D[u*t.P+v]) }
-
 // Row returns the distances from PE u to every PE.
 func (t *DistanceTable) Row(u int) []uint8 { return t.D[u*t.P : (u+1)*t.P] }
 

@@ -35,8 +35,8 @@ func TestDistanceTableMatchesDistance(t *testing.T) {
 			row := dt.Row(u)
 			for v := 0; v < topo.P(); v++ {
 				want := topo.Distance(u, v)
-				if dt.At(u, v) != want || int(row[v]) != want {
-					t.Fatalf("%s: d(%d,%d) = %d/%d, want %d", tc.name, u, v, dt.At(u, v), row[v], want)
+				if int(row[v]) != want {
+					t.Fatalf("%s: d(%d,%d) = %d, want %d", tc.name, u, v, row[v], want)
 				}
 			}
 		}

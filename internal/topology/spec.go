@@ -147,17 +147,6 @@ func (s Spec) Build() (*Topology, error) {
 	return t, nil
 }
 
-// Canonicalize parses and re-stringifies a spec, returning the canonical
-// cache key for any accepted spelling ("HQ:8", "8-dimHQ" and
-// "hypercube:8" all canonicalize to "hypercube:8").
-func Canonicalize(spec string) (string, error) {
-	s, err := ParseSpec(spec)
-	if err != nil {
-		return "", err
-	}
-	return s.String(), nil
-}
-
 // KnownSpecs lists the canonical specs of the paper's five processor
 // graphs, sorted — convenient for prewarming caches.
 func KnownSpecs() []string {

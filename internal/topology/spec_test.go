@@ -27,13 +27,13 @@ func TestParseSpecCanonical(t *testing.T) {
 		{"8-dimHQ", "hypercube:8"},
 	}
 	for _, c := range cases {
-		got, err := Canonicalize(c.in)
+		s, err := ParseSpec(c.in)
 		if err != nil {
-			t.Errorf("Canonicalize(%q): %v", c.in, err)
+			t.Errorf("ParseSpec(%q): %v", c.in, err)
 			continue
 		}
-		if got != c.canon {
-			t.Errorf("Canonicalize(%q) = %q, want %q", c.in, got, c.canon)
+		if got := s.String(); got != c.canon {
+			t.Errorf("ParseSpec(%q).String() = %q, want %q", c.in, got, c.canon)
 		}
 	}
 }

@@ -194,7 +194,7 @@ func ReadGraph(path string) (*Graph, error) { return graph.ReadMETISFile(path) }
 // remap table, the content fingerprint and the load stats.
 //
 // Engines ingest datasets directly — Engine.IngestPath /
-// Engine.IngestBytes register a graph once and jobs reference it by
+// Engine.IngestSpool register a graph once and jobs reference it by
 // its ref ("file:<path>" / "upload:<fingerprint>") in
 // GraphSpec.Ref — which is also what mapd's POST /v1/graphs does.
 func LoadGraphFile(path string, opt IngestOptions) (*IngestResult, error) {
