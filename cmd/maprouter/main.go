@@ -1,6 +1,6 @@
-// Command maprouter fronts a fleet of mapd replicas with one mapd-
-// compatible endpoint: jobs are routed by rendezvous hashing on their
-// canonical spec hash (so a spec keeps hitting the replica whose
+// Command maprouter fronts a fleet of mapd replicas with one endpoint
+// serving mapd's job routes: jobs are routed by rendezvous hashing on
+// their canonical spec hash (so a spec keeps hitting the replica whose
 // artifact cache and job ledger are warm), replicas are health-probed
 // and circuit-broken, and a job whose replica dies mid-flight is
 // resubmitted to the next replica in rendezvous order — invisible to
@@ -12,7 +12,8 @@
 //	maprouter -addr :8080 -replicas ... -probe-interval 250ms \
 //	          -breaker-threshold 3 -breaker-cooldown 2s
 //
-// Example session (same protocol as mapd):
+// Example session (mapd's job routes; any other route gets a JSON 404
+// or 405):
 //
 //	curl -s localhost:8080/v1/jobs -d '{
 //	  "graph": {"network": "p2p-Gnutella", "scale": 0.05},

@@ -12,23 +12,27 @@ import (
 )
 
 // TestExportedDocCoverage fails when an exported identifier in the
-// public facade (repro.go) or the engine (internal/engine) lacks a doc
-// comment. These two surfaces are the repository's API: repro.go is
-// what library users import, internal/engine is what cmd/mapd and
-// cmd/mapbench are built on. CI runs this in the lint job, so an
-// undocumented export is a build break, not a review nit.
+// public facade (repro.go), the engine (internal/engine) or the HTTP
+// conventions (internal/api) lacks a doc comment. These surfaces are
+// the repository's API: repro.go is what library users import,
+// internal/engine is what cmd/mapd and cmd/mapbench are built on, and
+// internal/api is what every mapd and maprouter answer is written
+// with. CI runs this in the lint job, so an undocumented export is a
+// build break, not a review nit.
 func TestExportedDocCoverage(t *testing.T) {
 	var missing []string
 	missing = append(missing, undocumentedExports(t, "repro.go")...)
-	files, err := filepath.Glob(filepath.Join("internal", "engine", "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		if strings.HasSuffix(f, "_test.go") {
-			continue
+	for _, pkg := range []string{"engine", "api"} {
+		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		missing = append(missing, undocumentedExports(t, f)...)
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			missing = append(missing, undocumentedExports(t, f)...)
+		}
 	}
 	sort.Strings(missing)
 	for _, m := range missing {

@@ -1,22 +1,19 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/engine"
 	"repro/internal/mapclient"
 )
 
-// Handler returns the router's HTTP surface — the same job protocol
-// mapd speaks, so mapclient (and curl) work unchanged against a fleet:
+// Handler returns the router's HTTP surface, six of mapd's routes, and
+// answers every other request with a JSON 404 or 405:
 //
 //	POST /v1/jobs          route one job by its spec hash
 //	POST /v1/batches       expand a batch and scatter its jobs
@@ -33,55 +30,21 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", rt.statsHandler)
 	mux.HandleFunc("GET /healthz", rt.healthz)
 	mux.HandleFunc("GET /readyz", rt.readyz)
-	return mux
+	return api.Handler(mux)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// upstreamStatus translates an upstream failure for the client and
-// returns the status to answer with: upstream API errors keep their
-// status (and Retry-After becomes ours), transport-level failures and
-// replica exhaustion become 503 + Retry-After — the fleet equivalent
-// of "draining, come back".
-func upstreamStatus(w http.ResponseWriter, err error) int {
-	var apiErr *mapclient.APIError
-	if errors.As(err, &apiErr) {
-		if apiErr.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int(apiErr.RetryAfter/time.Second)))
-		}
-		return apiErr.Status
+// writeUpstreamError answers an upstream failure: an upstream API error
+// keeps its status and Retry-After, and any other failure, such as a
+// transport error or no usable replica, becomes 503 + Retry-After 1,
+// the fleet's "draining, come back". jobIDs are the jobs a batch placed
+// before the failure.
+func writeUpstreamError(w http.ResponseWriter, err error, jobIDs ...string) {
+	apiErr := &mapclient.APIError{Status: http.StatusServiceUnavailable, RetryAfter: time.Second}
+	errors.As(err, &apiErr)
+	if apiErr.RetryAfter > 0 {
+		api.SetRetryAfter(w, int(apiErr.RetryAfter/time.Second))
 	}
-	w.Header().Set("Retry-After", "1")
-	return http.StatusServiceUnavailable
-}
-
-// maxBodyBytes caps job and batch request bodies, matching mapd's
-// default limit.
-const maxBodyBytes = 64 << 20
-
-// readBody reads a request body of at most maxBodyBytes into a slice
-// of exactly its length, without io.ReadAll's growth slack: the router
-// keeps job bodies for failover.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if n := r.ContentLength; n >= 0 && n <= maxBodyBytes {
-		buf := make([]byte, n)
-		_, err := io.ReadFull(body, buf)
-		return buf, err
-	}
-	buf, err := io.ReadAll(body)
-	if err != nil {
-		return nil, err
-	}
-	return bytes.Clone(buf), nil
+	api.WriteError(w, apiErr.Status, err, jobIDs...)
 }
 
 // submitJob decodes the spec with engine.DecodeSpec, as mapd does,
@@ -89,33 +52,31 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // unchanged: the replica decodes them with the same decoder, so it
 // accepts them too.
 func (rt *Router) submitJob(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
+	body, err := api.ReadBody(w, r, api.MaxBody)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading job spec: %w", err))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading job spec: %w", err))
 		return
 	}
 	spec, err := engine.DecodeSpec(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}
 	key := routingKey(spec, body)
 	rep, remote, err := rt.place(r.Context(), body, key, nil)
 	if err != nil {
-		writeError(w, upstreamStatus(w, err), err)
+		writeUpstreamError(w, err)
 		return
 	}
 	rj := rt.register(body, key, rep, remote)
 	remote.ID = rj.id
-	writeJSON(w, http.StatusAccepted, remote)
+	api.WriteJSON(w, http.StatusAccepted, remote)
 }
 
 func (rt *Router) submitBatch(w http.ResponseWriter, r *http.Request) {
 	var batch engine.BatchSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batch); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding batch spec: %w", err))
+	if err := api.DecodeJSON(w, r, api.MaxBody, &batch); err != nil {
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding batch spec: %w", err))
 		return
 	}
 	// Past RetainJobs records the router forgets finished jobs, read or
@@ -123,14 +84,14 @@ func (rt *Router) submitBatch(w http.ResponseWriter, r *http.Request) {
 	// polls them.
 	specs, err := engine.ExpandBatch(batch, rt.cfg.RetainJobs)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	ids := make([]string, 0, len(specs))
 	for _, spec := range specs {
 		specJSON, err := engine.MarshalSpec(spec)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		key := routingKey(spec, specJSON)
@@ -139,12 +100,12 @@ func (rt *Router) submitBatch(w http.ResponseWriter, r *http.Request) {
 			// Jobs placed before the failure keep running; hand their
 			// IDs back so the client can still track them, mirroring
 			// mapd's own partial-batch contract.
-			writeJSON(w, upstreamStatus(w, err), map[string]any{"error": err.Error(), "job_ids": ids})
+			writeUpstreamError(w, err, ids...)
 			return
 		}
 		ids = append(ids, rt.register(specJSON, key, rep, remote).id)
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"job_ids": ids})
+	api.WriteJSON(w, http.StatusAccepted, map[string]any{"job_ids": ids})
 }
 
 func (rt *Router) getJob(w http.ResponseWriter, r *http.Request) {
@@ -153,17 +114,17 @@ func (rt *Router) getJob(w http.ResponseWriter, r *http.Request) {
 	rj, ok := rt.jobs[id]
 	rt.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+		api.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
 	wait := r.URL.Query().Get("wait") == "1" || r.URL.Query().Get("wait") == "true"
 	job, err := rt.fetch(r, rj, wait)
 	if err != nil {
-		writeError(w, upstreamStatus(w, err), err)
+		writeUpstreamError(w, err)
 		return
 	}
 	job.ID = rj.id
-	writeJSON(w, http.StatusOK, job)
+	api.WriteJSON(w, http.StatusOK, job)
 }
 
 // fetch proxies one snapshot or wait call to the job's current
@@ -239,7 +200,7 @@ func (rt *Router) statsHandler(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	routed := len(rt.jobs)
 	rt.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"replicas":    reps,
 		"usable":      rt.usableCount(),
 		"failovers":   rt.failovers.Load(),
@@ -249,7 +210,7 @@ func (rt *Router) statsHandler(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) healthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"replicas": len(rt.replicas),
 		"usable":   rt.usableCount(),
@@ -258,11 +219,10 @@ func (rt *Router) healthz(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) readyz(w http.ResponseWriter, r *http.Request) {
 	if rt.usableCount() == 0 {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, errNoReplica)
+		writeUpstreamError(w, errNoReplica)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "ready",
 		"usable": rt.usableCount(),
 	})

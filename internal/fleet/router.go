@@ -108,9 +108,9 @@ func (rj *routedJob) settleLocked(job engine.Job) {
 	rj.body = nil
 }
 
-// Router is the fleet's routing proxy: an http.Handler speaking the
-// mapd job API, placing every job on a replica by rendezvous hashing
-// of its canonical spec hash and moving it when that replica dies.
+// Router is the fleet's routing proxy: its Handler serves mapd's job
+// routes, placing every job on a replica by rendezvous hashing of its
+// canonical spec hash and moving it when that replica dies.
 type Router struct {
 	cfg      Config
 	replicas []*Replica

@@ -1,5 +1,5 @@
 // Package mapclient is a resilient Go client for the mapd HTTP API
-// (and for maprouter, which speaks the same protocol). Every call runs
+// (and for maprouter, which serves mapd's job routes). Every call runs
 // under a per-attempt deadline and a bounded retry loop: exponential
 // backoff with full jitter for transport errors and 5xx responses, the
 // server's own Retry-After honored on 429/503, and non-retryable 4xx
@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/engine"
 )
 
@@ -116,8 +117,7 @@ func (e *APIError) Temporary() bool {
 // do runs one API call through the retry loop: transport errors and
 // temporary APIErrors are retried with backoff (honoring Retry-After
 // when the server set one), permanent errors and context cancellation
-// return immediately. A 2xx response is decoded into out when out is
-// non-nil.
+// return immediately. A 2xx response is decoded into out.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
@@ -188,30 +188,22 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if resp.StatusCode >= 300 {
 		return decodeAPIError(resp)
 	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // decodeAPIError turns a non-2xx response into an *APIError, reading
-// the server's {"error": ...} body and Retry-After header.
+// the server's api.ErrorBody and Retry-After header.
 func decodeAPIError(resp *http.Response) *APIError {
 	apiErr := &APIError{Status: resp.StatusCode}
-	var body struct {
-		Error string `json:"error"`
-	}
+	var body api.ErrorBody
 	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body) == nil {
 		apiErr.Message = body.Error
 	}
 	if apiErr.Message == "" {
 		apiErr.Message = http.StatusText(resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
-			apiErr.RetryAfter = time.Duration(secs) * time.Second
-		}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+		apiErr.RetryAfter = time.Duration(secs) * time.Second
 	}
 	return apiErr
 }

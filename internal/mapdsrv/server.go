@@ -6,7 +6,6 @@
 package mapdsrv
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,11 +13,11 @@ import (
 	"net/http/pprof"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/ingest"
@@ -49,10 +48,11 @@ import (
 //	                       load balancers de-pool the replica before
 //	                       its listener goes away
 //	GET  /debug/pprof/*    CPU/heap/goroutine profiles (only with -pprof)
+//	anything else          a JSON 404 or 405 (api.Handler)
 type server struct {
 	eng *engine.Engine
 	// maxBody caps request bodies (job specs, batch specs and graph
-	// uploads alike); 0 selects maxBodyBytes.
+	// uploads alike).
 	maxBody int64
 	// limit is the per-client admission limiter; nil admits everything.
 	limit *limiter
@@ -62,19 +62,16 @@ type server struct {
 	shedTotal atomic.Int64
 }
 
-// Config bundles New's knobs, all optional: Pprof mounts
-// net/http/pprof under /debug/pprof/ (opt-in — profiling endpoints on
-// a production port are an operational decision, not a default),
-// MaxBody caps request bodies in bytes (0 = the 64 MiB default), and
-// QuotaRate/QuotaBurst configure per-client submission quotas (0 =
-// unlimited; see admission.go).
+// Config bundles New's knobs, all optional.
 type Config struct {
-	// Pprof mounts net/http/pprof under /debug/pprof/ when true.
+	// Pprof mounts net/http/pprof under /debug/pprof/ when true: opt-in,
+	// as profiling endpoints on a production port are an operator's call.
 	Pprof bool
-	// MaxBody caps request bodies in bytes (0 = the 64 MiB default).
+	// MaxBody caps request bodies in bytes (0 = api.MaxBody, 64 MiB).
 	MaxBody int64
 	// QuotaRate is the per-client submission quota in requests/second
-	// (0 = unlimited); QuotaBurst the burst above it (0 = 2x the rate).
+	// (0 = unlimited; see admission.go); QuotaBurst the burst above it
+	// (0 = 2x the rate).
 	QuotaRate  float64
 	QuotaBurst int
 }
@@ -83,9 +80,8 @@ type Config struct {
 func New(eng *engine.Engine, cfg Config) http.Handler {
 	maxBody := cfg.MaxBody
 	if maxBody <= 0 {
-		maxBody = maxBodyBytes
+		maxBody = api.MaxBody
 	}
-	withPprof := cfg.Pprof
 	s := &server{eng: eng, maxBody: maxBody, limit: newLimiter(cfg.QuotaRate, cfg.QuotaBurst)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.submitJob)
@@ -100,7 +96,7 @@ func New(eng *engine.Engine, cfg Config) http.Handler {
 	mux.HandleFunc("GET /v1/stats", s.stats)
 	mux.HandleFunc("GET /healthz", s.healthz)
 	mux.HandleFunc("GET /readyz", s.readyz)
-	if withPprof {
+	if cfg.Pprof {
 		// No method prefix: net/http/pprof's contract is method-agnostic
 		// (go tool pprof POSTs to /debug/pprof/symbol).
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -109,28 +105,17 @@ func New(eng *engine.Engine, cfg Config) http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	return api.Handler(mux)
 }
 
 // shed refuses a request with a Retry-After header: 429 for overload
-// (quota, queue at capacity), 503 for a draining server. Every shed is
-// counted for /v1/stats.
-func (s *server) shed(w http.ResponseWriter, status int, retryAfter time.Duration, err error) {
+// (quota, queue at capacity), 503 for a draining server. jobIDs are the
+// jobs a batch queued before it was refused. Every shed is counted for
+// /v1/stats.
+func (s *server) shed(w http.ResponseWriter, status int, retryAfter time.Duration, err error, jobIDs ...string) {
 	s.shedTotal.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retryAfter)))
-	writeError(w, status, err)
+	api.SetRetryAfter(w, retryAfterSeconds(retryAfter))
+	api.WriteError(w, status, err, jobIDs...)
 }
 
 // admit runs the submission-path admission checks shared by jobs and
@@ -159,29 +144,24 @@ const drainRetryAfter = 5 * time.Second
 // queue drains at job-pipeline speed, so a short backoff suffices.
 const queueFullRetryAfter = 1 * time.Second
 
-// maxBodyBytes is the default request-body cap (-max-upload overrides
-// it): a single oversized inline edge list or graph upload must not be
-// able to exhaust the server's memory.
-const maxBodyBytes = 64 << 20
-
 func (s *server) submitJob(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r) {
 		return
 	}
-	body, err := readBody(w, r, s.maxBody)
+	body, err := api.ReadBody(w, r, s.maxBody)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading job spec: %w", err))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading job spec: %w", err))
 		return
 	}
 	spec, err := engine.DecodeSpec(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}
 	job, err := s.eng.Submit(spec)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusAccepted, job)
+		api.WriteJSON(w, http.StatusAccepted, job)
 	case errors.Is(err, engine.ErrQueueFull):
 		// Overload, not outage: the client should back off and retry,
 		// which is exactly what 429 + Retry-After says.
@@ -189,22 +169,8 @@ func (s *server) submitJob(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, engine.ErrDraining):
 		s.shed(w, http.StatusServiceUnavailable, drainRetryAfter, err)
 	default:
-		writeError(w, http.StatusServiceUnavailable, err)
+		api.WriteError(w, http.StatusServiceUnavailable, err)
 	}
-}
-
-// readBody reads a request body of at most limit bytes, as the
-// router's readBody does, into a slice of exactly its length when the
-// request declares one. Reading it whole before decoding refuses a
-// body past the limit even when its JSON value ends earlier.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, limit)
-	if n := r.ContentLength; n >= 0 && n <= limit {
-		buf := make([]byte, n)
-		_, err := io.ReadFull(body, buf)
-		return buf, err
-	}
-	return io.ReadAll(body)
 }
 
 func (s *server) submitBatch(w http.ResponseWriter, r *http.Request) {
@@ -212,38 +178,26 @@ func (s *server) submitBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec engine.BatchSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding batch spec: %w", err))
+	if err := api.DecodeJSON(w, r, s.maxBody, &spec); err != nil {
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding batch spec: %w", err))
 		return
 	}
-	ids, err := s.eng.SubmitBatch(spec)
-	if err != nil {
-		// Jobs enqueued before the failure keep running; hand their IDs
-		// back so the client can still track or wait on them. Capacity
-		// and drain errors are transient and retryable: they shed with a
-		// Retry-After (429 overload / 503 draining) rather than 400.
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, engine.ErrQueueFull):
-			s.shedTotal.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(queueFullRetryAfter)))
-			status = http.StatusTooManyRequests
-		case errors.Is(err, engine.ErrDraining):
-			s.shedTotal.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(drainRetryAfter)))
-			status = http.StatusServiceUnavailable
-		case errors.Is(err, engine.ErrClosed):
-			status = http.StatusServiceUnavailable
-		}
-		writeJSON(w, status, map[string]any{
-			"error":   err.Error(),
-			"job_ids": ids,
-		})
-		return
+	// Jobs enqueued before a failure keep running; their IDs go back so
+	// the client can still track or wait on them. Capacity and drain
+	// errors are transient and retryable: they shed with a Retry-After
+	// (429 overload / 503 draining) rather than 400.
+	switch ids, err := s.eng.SubmitBatch(spec); {
+	case err == nil:
+		api.WriteJSON(w, http.StatusAccepted, map[string]any{"job_ids": ids})
+	case errors.Is(err, engine.ErrQueueFull):
+		s.shed(w, http.StatusTooManyRequests, queueFullRetryAfter, err, ids...)
+	case errors.Is(err, engine.ErrDraining):
+		s.shed(w, http.StatusServiceUnavailable, drainRetryAfter, err, ids...)
+	case errors.Is(err, engine.ErrClosed):
+		api.WriteError(w, http.StatusServiceUnavailable, err, ids...)
+	default:
+		api.WriteError(w, http.StatusBadRequest, err, ids...)
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"job_ids": ids})
 }
 
 func (s *server) listJobs(w http.ResponseWriter, r *http.Request) {
@@ -258,7 +212,7 @@ func (s *server) listJobs(w http.ResponseWriter, r *http.Request) {
 			jobs[i].Result = &cp
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
 }
 
 // getJob returns one job's snapshot. With ?wait=1 it blocks until the
@@ -271,7 +225,7 @@ func (s *server) getJob(w http.ResponseWriter, r *http.Request) {
 		job, err := s.eng.WaitCtx(r.Context(), id)
 		switch {
 		case err == nil:
-			writeJSON(w, http.StatusOK, job)
+			api.WriteJSON(w, http.StatusOK, job)
 		case errors.Is(err, engine.ErrDraining):
 			// A draining server releases its waiters instead of holding
 			// them across the shutdown: retry after the restart, when the
@@ -280,16 +234,17 @@ func (s *server) getJob(w http.ResponseWriter, r *http.Request) {
 		case r.Context().Err() != nil:
 			// Client gone; nothing useful can be written.
 		default:
-			writeError(w, http.StatusNotFound, err)
+			// WaitCtx's one other error is an ID it does not know.
+			api.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		}
 		return
 	}
 	job, ok := s.eng.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+		api.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, job)
+	api.WriteJSON(w, http.StatusOK, job)
 }
 
 // ingestRequest is the JSON form of POST /v1/graphs: a server-side
@@ -319,37 +274,34 @@ func parseWeights(s string) (ingest.WeightMode, error) {
 // as the graph bytes themselves (the upload path), with loader options
 // in query parameters: ?name=, ?format=, ?weights=, ?largest_component=1.
 func (s *server) ingestGraph(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		var req ingestRequest
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding ingest request: %w", err))
+		if err := api.DecodeJSON(w, r, s.maxBody, &req); err != nil {
+			api.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding ingest request: %w", err))
 			return
 		}
 		if req.Path == "" {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("ingest request needs a path (or POST the graph bytes directly)"))
+			api.WriteError(w, http.StatusBadRequest, fmt.Errorf("ingest request needs a path (or POST the graph bytes directly)"))
 			return
 		}
 		opt, err := ingestOptions(req.Format, req.Weights, req.LargestComponent)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		info, err := s.eng.IngestPath(req.Path, opt)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, map[string]any{"graph": info})
+		api.WriteJSON(w, http.StatusCreated, map[string]any{"graph": info})
 		return
 	}
 
 	q := r.URL.Query()
 	opt, err := ingestOptions(q.Get("format"), q.Get("weights"), q.Get("largest_component") == "1" || q.Get("largest_component") == "true")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Stream the upload to a spool file instead of buffering it in
@@ -358,36 +310,36 @@ func (s *server) ingestGraph(w http.ResponseWriter, r *http.Request) {
 	// CSR + raw bytes. The spool only lives for the ingest.
 	spool, err := os.CreateTemp("", "mapd-upload-*")
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("creating upload spool: %w", err))
+		api.WriteError(w, http.StatusInternalServerError, fmt.Errorf("creating upload spool: %w", err))
 		return
 	}
 	defer os.Remove(spool.Name())
 	defer spool.Close()
-	n, err := io.Copy(spool, body)
+	n, err := io.Copy(spool, http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			api.WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("upload exceeds the %d-byte limit (raise with -max-upload)", tooBig.Limit))
 			return
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading upload: %w", err))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading upload: %w", err))
 		return
 	}
 	if n == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("empty upload"))
+		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("empty upload"))
 		return
 	}
 	info, dup, err := s.eng.IngestSpool(q.Get("name"), spool.Name(), opt)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	status := http.StatusCreated
 	if dup {
 		status = http.StatusOK // already registered; nothing was created
 	}
-	writeJSON(w, status, map[string]any{"graph": info, "deduplicated": dup})
+	api.WriteJSON(w, status, map[string]any{"graph": info, "deduplicated": dup})
 }
 
 func ingestOptions(format, weights string, lcc bool) (ingest.Options, error) {
@@ -403,22 +355,22 @@ func ingestOptions(format, weights string, lcc bool) (ingest.Options, error) {
 }
 
 func (s *server) listGraphs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"graphs": s.eng.Graphs()})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"graphs": s.eng.Graphs()})
 }
 
 func (s *server) getGraph(w http.ResponseWriter, r *http.Request) {
 	ref := r.PathValue("ref")
 	info, ok := s.eng.GraphInfo(ref)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown graph ref %q", ref))
+		api.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown graph ref %q", ref))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"graph": info})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"graph": info})
 }
 
 func (s *server) topologies(w http.ResponseWriter, r *http.Request) {
 	hits, misses := s.eng.Cache().Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"topologies": s.eng.Cache().Snapshot(),
 		"hits":       hits,
 		"misses":     misses,
@@ -430,7 +382,7 @@ func (s *server) topologies(w http.ResponseWriter, r *http.Request) {
 // matrix names networks, topologies and cases that expand into engine
 // batches.
 func (s *server) benchMatrices(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"matrices": bench.Matrices()})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"matrices": bench.Matrices()})
 }
 
 // stats reports the runtime and pool statistics an operator watches
@@ -459,11 +411,11 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 	if adm := s.limit.snapshot(); adm != nil {
 		payload["admission"] = adm
 	}
-	writeJSON(w, http.StatusOK, payload)
+	api.WriteJSON(w, http.StatusOK, payload)
 }
 
 func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"workers":     s.eng.Workers(),
 		"queue_depth": s.eng.QueueDepth(),
@@ -481,7 +433,7 @@ func (s *server) readyz(w http.ResponseWriter, r *http.Request) {
 		s.shed(w, http.StatusServiceUnavailable, drainRetryAfter, engine.ErrDraining)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":      "ready",
 		"workers":     s.eng.Workers(),
 		"queue_depth": s.eng.QueueDepth(),
