@@ -101,16 +101,9 @@ func buildOptions(format, weights string, lcc bool, workers int) (ingest.Options
 	if err != nil {
 		return ingest.Options{}, err
 	}
-	var wm ingest.WeightMode
-	switch weights {
-	case "", "auto":
-		wm = ingest.WeightAuto
-	case "sum":
-		wm = ingest.WeightSum
-	case "unit":
-		wm = ingest.WeightUnit
-	default:
-		return ingest.Options{}, fmt.Errorf("unknown weights mode %q (want auto, sum or unit)", weights)
+	wm, err := ingest.ParseWeights(weights)
+	if err != nil {
+		return ingest.Options{}, err
 	}
 	return ingest.Options{Format: f, Weights: wm, LargestComponent: lcc, Workers: workers}, nil
 }

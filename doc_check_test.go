@@ -12,17 +12,19 @@ import (
 )
 
 // TestExportedDocCoverage fails when an exported identifier in the
-// public facade (repro.go), the engine (internal/engine) or the HTTP
-// conventions (internal/api) lacks a doc comment. These surfaces are
-// the repository's API: repro.go is what library users import,
-// internal/engine is what cmd/mapd and cmd/mapbench are built on, and
-// internal/api is what every mapd and maprouter answer is written
-// with. CI runs this in the lint job, so an undocumented export is a
-// build break, not a review nit.
+// public facade (repro.go), the engine (internal/engine), the HTTP
+// conventions (internal/api) or the job ledger (internal/jobstore)
+// lacks a doc comment. These surfaces are the repository's API:
+// repro.go is what library users import, internal/engine is what
+// cmd/mapd and cmd/mapbench are built on, internal/api is what every
+// mapd and maprouter answer is written with, and internal/jobstore is
+// the durable format and lookup the engine's restart and dedup story
+// rests on. CI runs this in the lint job, so an undocumented export is
+// a build break, not a review nit.
 func TestExportedDocCoverage(t *testing.T) {
 	var missing []string
 	missing = append(missing, undocumentedExports(t, "repro.go")...)
-	for _, pkg := range []string{"engine", "api"} {
+	for _, pkg := range []string{"engine", "api", "jobstore"} {
 		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
 		if err != nil {
 			t.Fatal(err)

@@ -72,7 +72,7 @@ func SpecHash(spec JobSpec) (string, bool) {
 }
 
 // closedChan returns an already-closed done channel for job records
-// that are born finished (ledger replays, dedup serves).
+// that are born finished (ledger replays).
 func closedChan() chan struct{} {
 	ch := make(chan struct{})
 	close(ch)
@@ -81,9 +81,9 @@ func closedChan() chan struct{} {
 
 // replayLedger opens the job ledger in dir and folds its recovered
 // state into the (still single-threaded) engine: finished jobs are
-// re-registered so their IDs keep resolving (the ledger itself serves
-// their results to duplicate submissions); unfinished jobs are
-// returned for the caller to requeue once the pending channel exists.
+// re-registered so their IDs keep resolving (and done ones keep
+// answering duplicate submissions); unfinished jobs are returned for
+// the caller to requeue once the pending channel exists.
 // A ledger that cannot be opened degrades the engine to non-durable
 // operation and is reported through Stats, mirroring the disk-tier
 // policy.
@@ -165,8 +165,9 @@ func (e *Engine) logRunning(rec *jobRecord) {
 // logFinished appends the job's terminal record. It carries the
 // canonical JSON of the job's finished spec, a few hundred bytes
 // without the inline edges, which replaces the submitted spec in the
-// ledger's mirror. A done record also lets the ledger serve identical
-// resubmissions (see ledgerResult) instead of recomputing them.
+// ledger's mirror. A done record also names the job identical
+// resubmissions are answered with (see serveDone) instead of being
+// recomputed.
 func (e *Engine) logFinished(rec *jobRecord, spec JobSpec, res *JobResult, jobErr error) {
 	if e.ledger == nil || !rec.durable {
 		return
@@ -184,40 +185,32 @@ func (e *Engine) logFinished(rec *jobRecord, spec JobSpec, res *JobResult, jobEr
 	_ = e.ledger.Append(r)
 }
 
-// ledgerResult returns the result of the ledger's latest retained done
-// job with the spec hash, or nil. The copy is flagged ServedFromLedger
-// (a perf field, stripped by StripPerf) so clients can count
-// recompute-free submissions.
-func (e *Engine) ledgerResult(hash string) *JobResult {
-	raw, ok := e.ledger.Result(hash)
+// serveDone answers a resubmission with the done job the ledger names
+// for its spec hash: that job's snapshot, its result copied and the
+// copy flagged ServedFromLedger (a perf field, stripped by StripPerf).
+// ok is false when the engine is closed or holds no done record under
+// that ID (evicted, or still finishing); Submit then queues the spec.
+func (e *Engine) serveDone(hash string) (Job, bool) {
+	id, ok := e.ledger.DoneID(hash)
 	if !ok {
-		return nil
+		return Job{}, false
 	}
-	var res JobResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil
+	e.mu.Lock()
+	rec, ok := e.jobs[id]
+	ok = ok && !e.closed
+	e.mu.Unlock()
+	if !ok {
+		return Job{}, false
 	}
+	job := rec.snapshot()
+	if job.Status != StatusDone || job.Result == nil {
+		return Job{}, false
+	}
+	res := *job.Result
 	res.ServedFromLedger = true
-	return &res
-}
-
-// dedupServe registers a new already-done job serving res, a result
-// ledgerResult found. Caller holds e.mu.
-func (e *Engine) dedupServe(res *JobResult, spec JobSpec) *jobRecord {
-	e.nextID++
-	rec := &jobRecord{job: Job{
-		ID:        fmt.Sprintf("job-%06d", e.nextID),
-		Spec:      finishedSpec(spec),
-		Status:    StatusDone,
-		Result:    res,
-		Submitted: time.Now(),
-		Finished:  time.Now(),
-	}, done: closedChan()}
-	e.jobs[rec.job.ID] = rec
-	e.order = append(e.order, rec.job.ID)
-	e.dedupServed.Add(1)
-	e.evictLocked()
-	return rec
+	job.Result = &res
+	e.ledgerServed.Add(1)
+	return job, true
 }
 
 // Draining reports whether BeginDrain has been called.
@@ -306,9 +299,10 @@ type JobStoreStats struct {
 	WALBytes   int64 `json:"wal_bytes"`
 	WALRecords int64 `json:"wal_records"`
 	// JobsRecovered counts unfinished jobs requeued at startup;
-	// DedupServed counts submissions answered from the ledger without
-	// recomputation; Interrupted counts queued jobs handed back to the
-	// ledger by a drain.
+	// DedupServed counts submissions answered with a done job the
+	// ledger named (see Engine.Submit), each without recomputation or a
+	// new job; Interrupted counts queued jobs handed back to the ledger
+	// by a drain.
 	JobsRecovered int   `json:"jobs_recovered"`
 	DedupServed   int64 `json:"dedup_served"`
 	Interrupted   int64 `json:"interrupted,omitempty"`
@@ -328,7 +322,7 @@ func (e *Engine) jobStoreStats() *JobStoreStats {
 	}
 	st := &JobStoreStats{
 		JobsRecovered: e.recovered,
-		DedupServed:   e.dedupServed.Load(),
+		DedupServed:   e.ledgerServed.Load(),
 		Interrupted:   e.interrupted.Load(),
 	}
 	if e.ledgerErr != nil {

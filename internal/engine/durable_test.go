@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -69,6 +70,9 @@ func TestDurableSpecStripsPinnedGraph(t *testing.T) {
 	}
 }
 
+// TestDedupServesFromLedger: a resubmission of a done spec is answered
+// with the done job itself (its ID, its result flagged ServedFromLedger
+// in that answer only), adds no job record and recomputes nothing.
 func TestDedupServesFromLedger(t *testing.T) {
 	dir := t.TempDir()
 	e := New(Options{Workers: 2, JobDir: dir})
@@ -84,7 +88,7 @@ func TestDedupServesFromLedger(t *testing.T) {
 	if first.Status != StatusDone {
 		t.Fatalf("job failed: %s", first.Error)
 	}
-	served := e.Stats().JobsServed
+	before := e.Stats()
 
 	dup, err := e.Submit(spec)
 	if err != nil {
@@ -96,18 +100,46 @@ func TestDedupServesFromLedger(t *testing.T) {
 	if !dup.Result.ServedFromLedger {
 		t.Fatal("duplicate result not flagged ServedFromLedger")
 	}
-	if dup.ID == first.ID {
-		t.Fatal("duplicate reused the original job ID")
+	if dup.ID != first.ID {
+		t.Fatalf("duplicate answered as %s, want the done job %s", dup.ID, first.ID)
 	}
 	if !reflect.DeepEqual(dup.Result.StripPerf(), first.Result.StripPerf()) {
 		t.Fatalf("ledger-served result differs:\n got %+v\nwant %+v", dup.Result.StripPerf(), first.Result.StripPerf())
 	}
 	st := e.Stats()
-	if st.JobsServed != served {
-		t.Fatalf("duplicate was recomputed: served %d -> %d", served, st.JobsServed)
+	if st.JobsServed != before.JobsServed {
+		t.Fatalf("duplicate was recomputed: served %d -> %d", before.JobsServed, st.JobsServed)
 	}
-	if st.JobStore == nil || st.JobStore.DedupServed != 1 {
+	if st.JobsRetained != before.JobsRetained {
+		t.Fatalf("duplicate added a job record: retained %d -> %d", before.JobsRetained, st.JobsRetained)
+	}
+	if st.JobStore == nil || st.JobStore.DedupServed != before.JobStore.DedupServed+1 {
 		t.Fatalf("dedup counter wrong: %+v", st.JobStore)
+	}
+	if again, ok := e.Get(first.ID); !ok || again.Result == nil || again.Result.ServedFromLedger {
+		t.Fatalf("the done job's own record changed: %+v", again)
+	}
+	// Concurrent duplicates and reads share the one record (run under
+	// -race): each answer is flagged, the record never is.
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 8 {
+				if d, err := e.Submit(spec); err != nil || d.ID != first.ID || d.Result == nil || !d.Result.ServedFromLedger {
+					t.Errorf("concurrent duplicate: %v, %s, flagged %v", err, d.ID, d.Result != nil && d.Result.ServedFromLedger)
+				}
+				if g, _ := e.Get(first.ID); g.Result == nil || g.Result.ServedFromLedger {
+					t.Errorf("concurrent Get of %s: %+v", first.ID, g.Result)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := e.Stats(); st.JobsRetained != before.JobsRetained || st.JobsServed != before.JobsServed {
+		t.Fatalf("concurrent duplicates changed the engine: retained %d, served %d; want %d, %d",
+			st.JobsRetained, st.JobsServed, before.JobsRetained, before.JobsServed)
 	}
 	// A different spec is not deduped.
 	other, err := e.Submit(testJobSpec(43))
@@ -139,6 +171,51 @@ func TestDedupServesFromLedger(t *testing.T) {
 	}
 	if redup.Status != StatusDone || !redup.Result.ServedFromLedger {
 		t.Fatalf("dedup did not survive restart: %+v", redup)
+	}
+}
+
+// TestRestartKeepsServedJobIDs: every ID a durable engine answered a
+// submission with, the answer to a resubmission included, still
+// resolves to its done job after a restart, and the restarted engine
+// never hands one of those IDs to a new job.
+func TestRestartKeepsServedJobIDs(t *testing.T) {
+	dir := t.TempDir()
+	e := New(Options{Workers: 1, JobDir: dir})
+	spec := testJobSpec(44)
+	job, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := e.Wait(job.ID)
+	if err != nil || first.Status != StatusDone {
+		t.Fatalf("job %s: %v, %s (%s)", job.ID, err, first.Status, first.Error)
+	}
+	dup, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dup.Status != StatusDone || dup.Result == nil || !dup.Result.ServedFromLedger {
+		t.Fatalf("resubmission not served from the ledger: %+v", dup)
+	}
+	e.Close()
+
+	e2 := New(Options{Workers: 1, JobDir: dir})
+	defer e2.Close()
+	for _, id := range []string{first.ID, dup.ID} {
+		got, ok := e2.Get(id)
+		if !ok || got.Status != StatusDone || got.Result == nil {
+			t.Fatalf("%s after restart: %+v (known %v)", id, got, ok)
+		}
+		if !reflect.DeepEqual(got.Result.StripPerf(), first.Result.StripPerf()) {
+			t.Fatalf("%s after restart: result differs from the original", id)
+		}
+	}
+	fresh, err := e2.Submit(testJobSpec(45))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID == first.ID || fresh.ID == dup.ID {
+		t.Fatalf("restarted engine reissued %s to a new job", fresh.ID)
 	}
 }
 

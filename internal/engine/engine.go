@@ -55,11 +55,12 @@ type Options struct {
 	// (see internal/jobstore and durable.go), and a restarted engine
 	// pointed at the same directory re-queues jobs that were submitted
 	// but never finished, re-registers finished jobs under their old
-	// IDs, and serves resubmissions of an identical spec from the
-	// ledger instead of recomputing. If the ledger cannot be opened the
-	// engine runs non-durable and reports the failure via Stats. Jobs
-	// whose graph or topology exists only as an in-memory object are
-	// executed but not logged (they have no serializable identity).
+	// IDs, and answers a resubmission of a done spec with its done job
+	// (see Submit). If the ledger cannot be opened the engine runs
+	// non-durable and reports the failure via Stats. Jobs whose graph
+	// exists only as an in-memory object are executed but not logged
+	// (they have no serializable identity; a restart may reissue their
+	// IDs).
 	JobDir string
 }
 
@@ -133,13 +134,14 @@ type Engine struct {
 
 	// Durability state (see durable.go): the job ledger (nil without
 	// Options.JobDir, or after an open failure recorded in ledgerErr),
-	// which also serves idempotent resubmissions, and the
-	// recovery/idempotency counters surfaced through Stats.
-	ledger      *jobstore.Store
-	ledgerErr   error
-	recovered   int
-	dedupServed atomic.Int64
-	interrupted atomic.Int64
+	// which also names the done job an identical resubmission is
+	// answered with, and the recovery/idempotency counters surfaced
+	// through Stats.
+	ledger       *jobstore.Store
+	ledgerErr    error
+	recovered    int
+	ledgerServed atomic.Int64
+	interrupted  atomic.Int64
 
 	// Drain state: draining flips once, drainCh is closed at the same
 	// instant so queued waiters can be released (see BeginDrain).
@@ -275,9 +277,9 @@ func (e *Engine) Topology(spec string) (*topology.Topology, error) {
 // Submit enqueues a job and returns its snapshot (status "queued"). It
 // fails if the engine is closed (ErrClosed), draining for shutdown
 // (ErrDraining) or the queue is full (ErrQueueFull). On a durable
-// engine, resubmitting a spec whose identical twin already finished
-// successfully returns an already-done job served from the ledger
-// (result flagged ServedFromLedger) without recomputing.
+// engine, a spec whose identical twin the ledger holds as done is
+// answered with that done job, without a new job or a recompute: its
+// ID, spec and timestamps, its result flagged ServedFromLedger.
 func (e *Engine) Submit(spec JobSpec) (Job, error) {
 	if e.draining.Load() {
 		return Job{}, ErrDraining
@@ -289,7 +291,6 @@ func (e *Engine) Submit(spec JobSpec) (Job, error) {
 	// during New.
 	var hash string
 	var specJSON []byte
-	var served *JobResult
 	durable := false
 	if e.ledger != nil {
 		if ds, ok := durableSpec(spec); ok {
@@ -298,18 +299,15 @@ func (e *Engine) Submit(spec JobSpec) (Job, error) {
 			durable = err == nil
 		}
 		if durable {
-			served = e.ledgerResult(hash)
+			if job, ok := e.serveDone(hash); ok {
+				return job, nil
+			}
 		}
 	}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return Job{}, ErrClosed
-	}
-	if served != nil {
-		rec := e.dedupServe(served, spec)
-		e.mu.Unlock()
-		return rec.snapshot(), nil
 	}
 	// Only Submit (serialized by e.mu) ever adds to pending, so a
 	// capacity check here guarantees the send below cannot block — and

@@ -327,10 +327,10 @@ type JobResult struct {
 	HierarchiesKept int `json:"hierarchies_kept"`
 	SwapsApplied    int `json:"swaps_applied"`
 
-	// ServedFromLedger reports that the whole result was served from the
-	// durable job ledger — an identical spec had already finished on
-	// this JobDir, so nothing was recomputed. Like PartitionReused it is
-	// provenance, not quality: StripPerf zeroes it.
+	// ServedFromLedger marks Submit's answer to a resubmission of a spec
+	// that had already finished on this JobDir: nothing was recomputed.
+	// A later Get or Wait of the job does not carry it. Like
+	// PartitionReused it is provenance, not quality: StripPerf zeroes it.
 	ServedFromLedger bool `json:"served_from_ledger,omitempty"`
 
 	// PartitionReused reports that the partition stage was served from

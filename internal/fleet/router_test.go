@@ -908,15 +908,24 @@ func TestRouterBatchScatterMatchesSingleEngine(t *testing.T) {
 		}
 	}
 
-	// The scatter actually spread: with 4 distinct specs over 3
-	// replicas, at least two replicas saw work.
-	busy := 0
-	for _, rep := range rt.ReplicasForTest() {
-		if rep.SubmitsForTest() > 0 {
-			busy++
-		}
+	// The scatter placed each spec on its rendezvous home: every replica
+	// took exactly the specs homed there. Replica ports are random, so
+	// the homes vary from run to run; the counts must match them anyway.
+	specs, err := engine.ExpandBatch(batch, len(want))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if busy < 2 {
-		t.Errorf("batch landed on %d replicas, want ≥ 2 (rendezvous spread)", busy)
+	homed := make(map[string]int64)
+	for _, spec := range specs {
+		key, ok := engine.SpecHash(spec)
+		if !ok {
+			t.Fatalf("batch spec has no hash: %+v", spec)
+		}
+		homed[rt.HomeOfForTest(key)]++
+	}
+	for _, rep := range rt.ReplicasForTest() {
+		if got := rep.SubmitsForTest(); got != homed[rep.Name] {
+			t.Errorf("replica %s took %d submissions, want the %d specs homed there", rep.Name, got, homed[rep.Name])
+		}
 	}
 }

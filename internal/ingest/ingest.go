@@ -26,6 +26,21 @@ const (
 	WeightUnit
 )
 
+// ParseWeights resolves a weight-mode name: "auto" (or empty), "sum" or
+// "unit", exactly as spelled.
+func ParseWeights(s string) (WeightMode, error) {
+	switch s {
+	case "", "auto":
+		return WeightAuto, nil
+	case "sum":
+		return WeightSum, nil
+	case "unit":
+		return WeightUnit, nil
+	default:
+		return WeightAuto, fmt.Errorf("ingest: unknown weights mode %q (want auto, sum or unit)", s)
+	}
+}
+
 // Options tunes a load. The zero value is a sensible default: format
 // auto-detection, automatic weight handling, parallel fill, safety caps
 // scaled to the input size.

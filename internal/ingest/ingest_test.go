@@ -313,6 +313,34 @@ func TestWeightModes(t *testing.T) {
 	}
 }
 
+// TestParseWeights: the weight-mode names mapd and mapingest accept,
+// spelled exactly, and the error every other name gets.
+func TestParseWeights(t *testing.T) {
+	cases := []struct {
+		in      string
+		want    WeightMode
+		wantErr string
+	}{
+		{"", WeightAuto, ""},
+		{"auto", WeightAuto, ""},
+		{"sum", WeightSum, ""},
+		{"unit", WeightUnit, ""},
+		{"Sum", WeightAuto, `ingest: unknown weights mode "Sum" (want auto, sum or unit)`},
+		{" unit", WeightAuto, `ingest: unknown weights mode " unit" (want auto, sum or unit)`},
+		{"max", WeightAuto, `ingest: unknown weights mode "max" (want auto, sum or unit)`},
+	}
+	for _, tc := range cases {
+		got, err := ParseWeights(tc.in)
+		errText := ""
+		if err != nil {
+			errText = err.Error()
+		}
+		if got != tc.want || errText != tc.wantErr {
+			t.Errorf("ParseWeights(%q) = %v, %q; want %v, %q", tc.in, got, errText, tc.want, tc.wantErr)
+		}
+	}
+}
+
 func TestDetectFormat(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -182,7 +182,7 @@ type Store struct {
 	jobs     map[string]*JobState
 	order    []string
 	finished int
-	done     map[string]string // spec hash → ID of its latest done job, for Result
+	done     map[string]string // spec hash → ID of its latest done job, for DoneID
 
 	records     int64
 	compactions int64
@@ -381,18 +381,18 @@ func (s *Store) trimLocked() {
 	s.order = keep
 }
 
-// Result returns the result of the latest done job the live mirror
-// holds under the canonical spec hash: the payload an identical
-// resubmission is served instead of recomputing. It misses once that
-// job has been trimmed from the mirror (see Options.RetainDone).
-func (s *Store) Result(hash string) (json.RawMessage, bool) {
+// DoneID returns the ID of the latest done job the live mirror holds
+// under the canonical spec hash: the job an identical resubmission is
+// answered with instead of recomputing. It misses once that job has
+// been trimmed from the mirror (see Options.RetainDone).
+func (s *Store) DoneID(hash string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.jobs[s.done[hash]]
 	if !ok || st.Op != OpDone || st.Hash != hash {
-		return nil, false
+		return "", false
 	}
-	return st.Result, true
+	return st.ID, true
 }
 
 // Append logs one record. The record is also folded into the live

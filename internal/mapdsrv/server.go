@@ -256,19 +256,6 @@ type ingestRequest struct {
 	LargestComponent bool   `json:"largest_component,omitempty"`
 }
 
-func parseWeights(s string) (ingest.WeightMode, error) {
-	switch s {
-	case "", "auto":
-		return ingest.WeightAuto, nil
-	case "sum":
-		return ingest.WeightSum, nil
-	case "unit":
-		return ingest.WeightUnit, nil
-	default:
-		return 0, fmt.Errorf("unknown weights mode %q (want auto, sum or unit)", s)
-	}
-}
-
 // ingestGraph handles POST /v1/graphs. A JSON body ({"path": ...})
 // ingests a file the server can see; any other content type is treated
 // as the graph bytes themselves (the upload path), with loader options
@@ -347,7 +334,7 @@ func ingestOptions(format, weights string, lcc bool) (ingest.Options, error) {
 	if err != nil {
 		return ingest.Options{}, err
 	}
-	wm, err := parseWeights(weights)
+	wm, err := ingest.ParseWeights(weights)
 	if err != nil {
 		return ingest.Options{}, err
 	}

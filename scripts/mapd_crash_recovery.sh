@@ -2,8 +2,9 @@
 # mapd crash-recovery smoke: SIGKILL a mapd mid-batch and prove that a
 # second mapd on the same -job-dir (a) requeues and finishes the
 # interrupted jobs, (b) re-serves the finished ones by their old IDs,
-# (c) answers duplicate submissions from the ledger without recomputing,
-# and (d) sheds over-quota submissions with 429 + Retry-After.
+# (c) answers a duplicate submission with the done job it repeats,
+# from the ledger without recomputing, and (d) sheds over-quota
+# submissions with 429 + Retry-After.
 #
 # Usage: scripts/mapd_crash_recovery.sh [port]
 #
@@ -112,14 +113,17 @@ for id in "${IDS[@]}"; do
 done
 echo "   all ${#IDS[@]} jobs done after restart (old IDs intact)"
 
-# (b)+(c) a duplicate submission is answered from the ledger, done on
-# arrival, without recomputing.
+# (b)+(c) a duplicate submission is answered with the job it repeats,
+# done on arrival, without recomputing; the job itself is unchanged.
 # shellcheck disable=SC2059
 curl -sf "$BASE/v1/jobs" -d "$(printf "$JOB_BODY" 1)" -o "$WORK/dup.json" \
   || fail "duplicate submit"
 [ "$(jget "$WORK/dup.json" status)" = "done" ] || fail "duplicate not served done-on-arrival: $(cat "$WORK/dup.json")"
 [ "$(jget "$WORK/dup.json" served_from_ledger)" = "true" ] || fail "duplicate recomputed instead of ledger-served: $(cat "$WORK/dup.json")"
-echo "   duplicate submission ledger-served (0 recomputes)"
+[ "$(jget "$WORK/dup.json" id)" = "${IDS[0]}" ] || fail "duplicate answered as a new job, not ${IDS[0]}: $(cat "$WORK/dup.json")"
+curl -sf "$BASE/v1/jobs/${IDS[0]}" -o "$WORK/job.json" || fail "GET ${IDS[0]} after the duplicate"
+[ "$(jget "$WORK/job.json" status)" = "done" ] || fail "${IDS[0]} not done after the duplicate: $(cat "$WORK/job.json")"
+echo "   duplicate submission answered with ${IDS[0]} from the ledger (0 recomputes)"
 
 # (d) the quota sheds: burst of 3 is spent, the next submission gets
 # 429 with a usable Retry-After.
