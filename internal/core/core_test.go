@@ -259,14 +259,15 @@ func TestContract(t *testing.T) {
 		AddEdge(1, 3, 2). // 01-11: inter
 		AddEdge(2, 3, 7). // 10-11: intra pair 1
 		Build()
-	lv := &hlevel{g: g, labels: []bitvec.Label{0b00, 0b01, 0b10, 0b11}}
+	lv := &hlevel{labels: []bitvec.Label{0b00, 0b01, 0b10, 0b11}}
 	up := &hlevel{}
-	NewScratch().contract(lv, up)
-	if up.g.N() != 2 {
-		t.Fatalf("coarse N = %d, want 2", up.g.N())
+	var gc graph.Graph
+	NewScratch().contract(g, lv, up, &gc)
+	if gc.N() != 2 {
+		t.Fatalf("coarse N = %d, want 2", gc.N())
 	}
-	if up.g.EdgeWeight(0, 1) != 5 { // 3 + 2
-		t.Errorf("coarse edge weight = %d, want 5", up.g.EdgeWeight(0, 1))
+	if gc.EdgeWeight(0, 1) != 5 { // 3 + 2
+		t.Errorf("coarse edge weight = %d, want 5", gc.EdgeWeight(0, 1))
 	}
 	if up.labels[0] != 0 || up.labels[1] != 1 {
 		t.Errorf("coarse labels = %v, want [0 1]", up.labels)

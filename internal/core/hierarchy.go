@@ -9,11 +9,12 @@ import (
 // labels of width dimGa−(k−1): the k−1 least significant permuted digits
 // have been cut off by contraction. Labels are unique per level.
 //
-// All slices and the coarse-graph storage gstore are owned by the
-// enclosing Scratch and reused across hierarchies.
+// A level keeps no graph. Its graph is read only while the level is the
+// current one in buildHierarchy (its swap pass and its contraction into
+// the next level); assemble (Algorithm 2) needs only labels and parent
+// links. All slices are owned by the enclosing Scratch and reused
+// across hierarchies.
 type hlevel struct {
-	g      *graph.Graph
-	gstore graph.Graph // backing storage of g on contracted levels
 	labels []bitvec.Label
 	// parent maps this level's vertices to the next coarser level's
 	// vertices (unset on the topmost level).
@@ -90,12 +91,13 @@ func siblingSwapDelta(g *graph.Graph, labels []bitvec.Label, u, v, sign int) int
 	return int64(sign) * acc
 }
 
-// contract implements the contract(·,·,·) of Algorithm 1: vertices whose
-// labels agree on all but the last digit merge; every label loses its
-// last digit; the parent vector records the hierarchy. The coarse graph
-// and labels are built into next's reusable storage.
-func (sc *Scratch) contract(lv, next *hlevel) {
-	n := lv.g.N()
+// contract implements the contract(·,·,·) of Algorithm 1 on level lv,
+// whose graph is g: vertices whose labels agree on all but the last
+// digit merge; every label loses its last digit; the parent vector
+// records the hierarchy. The coarse labels are built into next's
+// reusable storage and the coarse graph into dst, which must not be g.
+func (sc *Scratch) contract(g *graph.Graph, lv, next *hlevel, dst *graph.Graph) {
+	n := g.N()
 	sc.byLabel.Reset(n)
 	lv.parent = graph.Resize(lv.parent, n)
 	next.labels = next.labels[:0]
@@ -107,8 +109,7 @@ func (sc *Scratch) contract(lv, next *hlevel) {
 		}
 		lv.parent[v] = id
 	}
-	sc.contractor.ContractInto(&next.gstore, lv.g, lv.parent, len(next.labels))
-	next.g = &next.gstore
+	sc.contractor.ContractInto(dst, g, lv.parent, len(next.labels))
 	next.swaps, next.gain = 0, 0
 }
 
@@ -173,35 +174,42 @@ func (t *suffixTrie) claim(path []int32) {
 // degenerates to a single vertex). The level-0 labels are initialized
 // from sc.perm; signs[j] is the Coco+ sign of permuted digit j. Levels
 // land in sc.levels[:sc.nlev], finest first.
+//
+// g is the current level's graph: ga on level 0, and level k ≥ 1 is
+// contracted into sc.coarse[k%2], the buffer not holding level k−1. A
+// level's graph is dead once the next level is contracted from it, so
+// a trial keeps two coarse graphs live however deep its hierarchy.
 func (sc *Scratch) buildHierarchy(ga *graph.Graph, dimGa int, signs []int8, swapRounds int) {
 	if swapRounds < 1 {
 		swapRounds = 1
 	}
 	lv0 := sc.level(0)
-	lv0.g = ga
 	lv0.labels = graph.Resize(lv0.labels, len(sc.perm))
 	copy(lv0.labels, sc.perm)
 	lv0.swaps, lv0.gain = 0, 0
 	sc.nlev = 1
+	g := ga
 	for k := 1; k <= dimGa-2; k++ {
-		cur := sc.level(sc.nlev - 1)
-		if cur.g.N() <= 1 {
+		if g.N() <= 1 {
 			break
 		}
-		sc.byLabel.Reset(cur.g.N())
+		next := sc.level(k) // grows sc.levels before cur points into it
+		cur := &sc.levels[k-1]
+		sc.byLabel.Reset(g.N())
 		for v, l := range cur.labels {
 			sc.byLabel.Put(l, int32(v))
 		}
 		for round := 0; round < swapRounds; round++ {
-			s, d := swapPass(cur.g, cur.labels, int(signs[k-1]), &sc.byLabel)
+			s, d := swapPass(g, cur.labels, int(signs[k-1]), &sc.byLabel)
 			cur.swaps += s
 			cur.gain += d
 			if s == 0 {
 				break
 			}
 		}
-		next := sc.level(sc.nlev)
-		sc.contract(sc.level(sc.nlev-1), next)
+		dst := &sc.coarse[k%2]
+		sc.contract(g, cur, next, dst)
+		g = dst
 		sc.nlev++
 	}
 }
@@ -216,7 +224,7 @@ func (sc *Scratch) buildHierarchy(ga *graph.Graph, dimGa int, signs []int8, swap
 // path is walk scratch with capacity ≥ dimGa.
 func assemble(levels []hlevel, dimGa int, trie *suffixTrie, out []bitvec.Label, path []int32) {
 	fine := &levels[0]
-	n := fine.g.N()
+	n := len(fine.labels)
 	K := len(levels)
 	for v := 0; v < n; v++ {
 		path = path[:0]

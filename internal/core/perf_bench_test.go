@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -53,6 +54,36 @@ func TestTryHierarchyWarmScratchZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm-scratch tryHierarchy allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestTryHierarchyColdAllocsBounded pins the two coarse-graph buffers
+// of a hierarchy: a cold trial on a 63-level hierarchy (3,072 vertices
+// on a 32×32 grid, dimGa 64) allocates per-level labels and parent
+// links plus two coarse graphs, about 19× the input's CSR footprint.
+// With one coarse graph kept per level it allocated 56×.
+func TestTryHierarchyColdAllocsBounded(t *testing.T) {
+	topo, _ := topology.Grid(32, 32)
+	ga := randomGraph(3072, 9216, 21)
+	lab, err := NewLabeling(ga, topo, balancedAssign(3072, topo.P(), 22), rand.New(rand.NewSource(23)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi := bitvec.Random(rand.New(rand.NewSource(24)), lab.DimGa)
+	plus, minus := lab.LpMask(), lab.ExtMask()
+	coco, div := cocoAndDivOfLabels(ga, lab.Labels, plus, minus)
+	sc := NewScratch()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := tryHierarchy(ga, lab.Labels, lab.DimGa, pi, plus, minus, 1, coco, coco-div, sc)
+	runtime.ReadMemStats(&after)
+	if sc.nlev < 60 || tr.swaps == 0 {
+		t.Fatalf("trial built %d levels with %d swaps; want a deep hierarchy that assembles", sc.nlev, tr.swaps)
+	}
+	alloc := int64(after.TotalAlloc - before.TotalAlloc)
+	if limit := 25 * ga.FootprintBytes(); alloc > limit {
+		t.Errorf("cold tryHierarchy allocated %d bytes (%.1f× the input's %d-byte CSR), want ≤ 25×",
+			alloc, float64(alloc)/float64(ga.FootprintBytes()), ga.FootprintBytes())
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 )
 
 // Scratch owns every reusable buffer of the TIMER hot path: the
-// permuted-label and candidate buffers, the hierarchy levels (label,
-// parent and coarse-graph storage per level), the suffix-trie backing
-// arrays, the sign table, the open-addressed label indexes and the
-// compiled permutation shift tables, plus the tables of the hierarchy
-// loop itself. One hierarchy trial — the unit the main loop runs
+// permuted-label and candidate buffers, the hierarchy levels (label and
+// parent storage per level), two coarse-graph buffers that the levels'
+// contractions alternate between, the suffix-trie backing arrays, the
+// sign table, the open-addressed label indexes and the compiled
+// permutation shift tables, plus the tables of the hierarchy loop
+// itself. One hierarchy trial — the unit the main loop runs
 // NumHierarchies times per job — performs zero heap allocations once
 // its Scratch is warm, and so does the whole loop when it runs without
 // Spawn; everything is reset in place between trials.
@@ -24,6 +25,10 @@ import (
 type Scratch struct {
 	levels []hlevel // hierarchy storage, finest first; levels[:nlev] in use
 	nlev   int
+	// coarse holds buildHierarchy's contracted graphs, level k ≥ 1 in
+	// coarse[k%2]; ContractInto sizes each to its input's adjacency, so
+	// a trial's two buffers hold at most twice the fine graph's edges.
+	coarse [2]graph.Graph
 
 	contractor graph.Contractor
 	byLabel    bitvec.LabelIndex // swap sibling index / contraction prefix index

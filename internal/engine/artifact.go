@@ -56,8 +56,8 @@ type ArtifactCache struct {
 	// and Invalidate removes both tiers' entries.
 	disk *diskTier
 
-	// fps memoizes CSR fingerprints of caller-supplied graphs by
-	// pointer (see fingerprintOf).
+	// fps memoizes CSR fingerprints of caller-pinned and ingested
+	// graphs by pointer (see fingerprintOf).
 	fpMu sync.Mutex
 	fps  map[*graph.Graph]graph.Fingerprint
 }
@@ -95,21 +95,24 @@ func NewArtifactCache(maxEntries int, maxBytes int64) *ArtifactCache {
 	}
 }
 
-// maxFingerprintMemo bounds the pointer→fingerprint memo: an engine
-// churning through per-job inline graphs must not accumulate them, and
-// each memoized pointer pins its graph. 64 comfortably covers a
-// batch's working set of shared instances (the pre-artifact-cache
-// batch runner pinned the same graphs for its whole lifetime).
+// maxFingerprintMemo bounds the pointer→fingerprint memo: each
+// memoized pointer pins its graph. 64 comfortably covers a batch's
+// working set of shared instances (the pre-artifact-cache batch runner
+// pinned the same graphs for its whole lifetime).
 const maxFingerprintMemo = 64
 
 // fingerprintOf returns g's 128-bit CSR fingerprint, memoized by
 // pointer: batches submit the same immutable *graph.Graph to every
-// rep and case, so the O(n+m) hash runs once per instance instead of
-// once per job. Keying by pointer is sound precisely because the map
-// holds the pointer — the graph stays reachable, so its address can
-// never be recycled for a different graph while the memo lives. At the
-// cap the memo resets wholesale (epoch clear) rather than tracking
-// recency; a stampede of first-time graphs merely recomputes.
+// rep and case, and ingested references resolve to one cached graph,
+// so the O(n+m) hash runs once per instance instead of once per job.
+// A graph a job builds from its own inline edges is hashed directly
+// (graph.Fingerprint) and never enters the memo: no later job can
+// present the same pointer, so memoizing it would only pin it. Keying
+// by pointer is sound precisely because the map holds the pointer —
+// the graph stays reachable, so its address can never be recycled for
+// a different graph while the memo lives. At the cap the memo resets
+// wholesale (epoch clear) rather than tracking recency; a stampede of
+// first-time graphs merely recomputes.
 func (c *ArtifactCache) fingerprintOf(g *graph.Graph) graph.Fingerprint {
 	c.fpMu.Lock()
 	fp, ok := c.fps[g]

@@ -328,6 +328,49 @@ func TestConflictingGraphSpecDoesNotPoisonCanonicalKey(t *testing.T) {
 	}
 }
 
+// TestInlineGraphsSkipFingerprintMemo: a graph a job builds from its
+// own inline edges is hashed directly and never pinned by the pointer
+// memo, yet its partition key stays content-addressed, so a second job
+// on the same edges and seed reuses the partition. A caller-pinned G
+// still goes through the memo.
+func TestInlineGraphsSkipFingerprintMemo(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	memo := func() int {
+		e.artifacts.fpMu.Lock()
+		defer e.artifacts.fpMu.Unlock()
+		return len(e.artifacts.fps)
+	}
+	spec := JobSpec{Graph: GraphSpec{N: 60, Edges: ringEdges(60)}, Topology: "grid:2x2",
+		Case: C2Identity, Seed: 5, NumHierarchies: 2}
+	if _, err := e.Run(spec); err != nil {
+		t.Fatal(err)
+	}
+	spec.Case = C4GreedyMin
+	res, err := e.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.PartitionReused {
+		t.Error("second inline job on the same edges and seed did not reuse the partition")
+	}
+	if n := memo(); n != 0 {
+		t.Errorf("fingerprint memo holds %d inline-built graphs, want 0", n)
+	}
+
+	ga, err := spec.Graph.materialize(spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(JobSpec{Graph: GraphSpec{G: ga}, Topology: "grid:2x2", Case: C2Identity,
+		Seed: 5, NumHierarchies: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if n := memo(); n != 1 {
+		t.Errorf("fingerprint memo holds %d graphs after a pinned-G job, want 1", n)
+	}
+}
+
 // TestFingerprintMemo covers the pointer-keyed fingerprint memo: equal
 // pointers are served from the memo, distinct graphs get distinct
 // fingerprints, and the epoch clear keeps the map bounded.

@@ -473,6 +473,9 @@ func (e *Engine) runPipeline(spec JobSpec, stage func(name string, seconds float
 
 	var ga *graph.Graph
 	graphKey := spec.Graph.artifactKey(spec.Seed)
+	// built marks a graph this job built from inline edges: no other job
+	// holds its pointer, so fingerprintOf's memo could never hit for it.
+	built := false
 	if err := timed("graph", func() error {
 		var err error
 		if ref := spec.Graph.Ref; ref != "" && spec.Graph.G == nil {
@@ -489,6 +492,7 @@ func (e *Engine) runPipeline(spec JobSpec, stage func(name string, seconds float
 			return err
 		}
 		ga, err = spec.Graph.materialize(spec.Seed)
+		built = spec.Graph.G == nil
 		return err
 	}); err != nil {
 		return nil, err
@@ -553,7 +557,13 @@ func (e *Engine) runPipeline(spec JobSpec, stage func(name string, seconds float
 			// byte-identical to a recomputation.
 			gkey := graphKey
 			if gkey == "" {
-				gkey = "fp:" + e.artifacts.fingerprintOf(ga).String()
+				var fp graph.Fingerprint
+				if built {
+					fp = ga.Fingerprint()
+				} else {
+					fp = e.artifacts.fingerprintOf(ga)
+				}
+				gkey = "fp:" + fp.String()
 			}
 			key := fmt.Sprintf("part:%s|k=%d|eps=%g|seed=%d", gkey, cfg.K, cfg.Epsilon, pseed)
 			var err error
