@@ -61,7 +61,8 @@ func TestTryHierarchyWarmScratchZeroAllocs(t *testing.T) {
 // of a hierarchy: a cold trial on a 63-level hierarchy (3,072 vertices
 // on a 32×32 grid, dimGa 64) allocates per-level labels and parent
 // links plus two coarse graphs, about 19× the input's CSR footprint.
-// With one coarse graph kept per level it allocated 56×.
+// The 25× bound sits below the 56× that one coarse graph per level
+// allocates.
 func TestTryHierarchyColdAllocsBounded(t *testing.T) {
 	topo, _ := topology.Grid(32, 32)
 	ga := randomGraph(3072, 9216, 21)
