@@ -14,8 +14,9 @@
 //
 // Convert to the METIS format the rest of the toolchain reads
 // natively, or — with a .csrbin suffix — to the binary CSR snapshot
-// format the engine's disk cache speaks (checksummed, mmap-loadable;
-// the note field records the source path; single input only):
+// format the engine's disk cache speaks (checksummed and
+// fingerprinted; the note field records the source path; single input
+// only):
 //
 //	mapingest -o ca-GrQc.graph ca-GrQc.txt
 //	mapingest -o ca-GrQc.csrbin ca-GrQc.txt

@@ -427,12 +427,12 @@ func (e *Engine) Jobs() []Job {
 // Run executes a job synchronously on the calling goroutine, bypassing
 // the queue (library convenience; the topology still goes through the
 // cache). The job is not registered in the engine's job table. Per-stage
-// timings are in the result's Stages field. Without a worker's scratch
-// the pipeline stages borrow arenas from their package pools. Run never
-// widens — it is the sequential reference wide mode is measured
-// against; Spec.Wide only takes effect on submitted jobs.
+// timings are in the result's Stages field. The pipeline runs on a
+// fresh worker scratch, so it takes the same storage path as a queued
+// job. Run never widens — it is the sequential reference wide mode is
+// measured against; Spec.Wide only takes effect on submitted jobs.
 func (e *Engine) Run(spec JobSpec) (*JobResult, error) {
-	return e.runPipeline(spec, nil, nil, nil)
+	return e.runPipeline(spec, nil, newWorkerScratch(), nil)
 }
 
 // Stats is a point-in-time snapshot of the engine's pool state, served

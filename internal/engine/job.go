@@ -436,9 +436,9 @@ func moreThanOne(flags ...bool) bool {
 // of one job. The topology comes from the engine's cache and an
 // ingested graph from its registry (GraphByRef); stage is called before
 // each step begins and receives the step's duration after it ends, so
-// callers can stream progress. ws, when non-nil, carries the calling
-// worker's reusable scratch arenas (base stage + TIMER); without it,
-// every stage borrows from its package pool. The artifact cache
+// callers can stream progress. ws carries the calling worker's
+// reusable scratch arenas (base stage + TIMER); Run passes a fresh
+// one. The artifact cache
 // memoizes whole stages across jobs: netgen graph materialization by
 // canonical spec key and multilevel partitions by (graph fingerprint,
 // K, ε, partition seed), with single-flight coalescing of concurrent
@@ -509,26 +509,12 @@ func (e *Engine) runPipeline(spec JobSpec, stage func(name string, seconds float
 		Case:     spec.Case,
 	}
 
-	// The worker's base-stage arena, when present: partition, DRB and the
-	// greedy constructions then reuse warm buffers instead of allocating.
-	var baseSc *mapping.Scratch
-	if ws != nil {
-		baseSc = ws.base
-	}
-
 	var assign []int32
 	switch spec.Case {
 	case C1SCOTCH:
 		if err := timed("drb", func() error {
 			t0 := time.Now()
-			cfg := mapping.DRBConfig{Epsilon: spec.Epsilon, Seed: spec.Seed, Fast: true, Spawn: spawn}
-			var a []int32
-			var err error
-			if baseSc != nil {
-				a, err = baseSc.DRB(ga, topo, cfg)
-			} else {
-				a, err = mapping.DRB(ga, topo, cfg)
-			}
+			a, err := ws.base.DRB(ga, topo, mapping.DRBConfig{Epsilon: spec.Epsilon, Seed: spec.Seed, Fast: true, Spawn: spawn})
 			if err != nil {
 				return err
 			}
@@ -546,10 +532,7 @@ func (e *Engine) runPipeline(spec JobSpec, stage func(name string, seconds float
 		var part *partition.Result
 		if err := timed("partition", func() error {
 			t0 := time.Now()
-			cfg := partition.Config{K: topo.P(), Epsilon: spec.Epsilon, Seed: pseed, Spawn: spawn}
-			if baseSc != nil {
-				cfg.Scratch = baseSc.Partition
-			}
+			cfg := partition.Config{K: topo.P(), Epsilon: spec.Epsilon, Seed: pseed, Spawn: spawn, Scratch: ws.base.Partition}
 			// Content-address the partition by what determines it: the
 			// graph (canonical generation key, or CSR fingerprint for
 			// caller-supplied graphs), block count, imbalance and seed.
@@ -590,21 +573,11 @@ func (e *Engine) runPipeline(spec JobSpec, stage func(name string, seconds float
 				assign = mapping.Compose(part.Part, nu)
 				return nil
 			case C3GreedyAllC, C4GreedyMin:
-				// Storage source and constructor choice are independent:
-				// resolve each once instead of expanding the product.
-				var gc *graph.Graph
-				allC, min := mapping.GreedyAllC, mapping.GreedyMin
-				if baseSc != nil {
-					gc = baseSc.CommGraph(ga, part.Part, topo.P())
-					allC, min = baseSc.GreedyAllC, baseSc.GreedyMin
-				} else {
-					gc = mapping.CommGraph(ga, part.Part, topo.P())
-				}
-				construct := allC
+				construct := ws.base.GreedyAllC
 				if spec.Case == C4GreedyMin {
-					construct = min
+					construct = ws.base.GreedyMin
 				}
-				nu, err := construct(gc, topo)
+				nu, err := construct(ws.base.CommGraph(ga, part.Part, topo.P()), topo)
 				if err != nil {
 					return err
 				}
@@ -623,10 +596,6 @@ func (e *Engine) runPipeline(spec JobSpec, stage func(name string, seconds float
 	res.DilationBefore = mapping.Dilation(ga, assign, topo)
 	res.ImbalanceBefore = mapping.Imbalance(ga, assign, topo.P())
 
-	var timerSc *core.Scratch
-	if ws != nil {
-		timerSc = ws.timer
-	}
 	if err := timed("enhance", func() error {
 		t0 := time.Now()
 		tr, err := core.Enhance(ga, topo, assign, core.Options{
@@ -634,7 +603,7 @@ func (e *Engine) runPipeline(spec JobSpec, stage func(name string, seconds float
 			Seed:           spec.Seed,
 			SwapRounds:     spec.SwapRounds,
 			Spawn:          spawn,
-			Scratch:        timerSc,
+			Scratch:        ws.timer,
 		})
 		if err != nil {
 			return err

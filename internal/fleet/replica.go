@@ -33,6 +33,10 @@ type Replica struct {
 	failovers atomic.Int64
 }
 
+// clientID is the X-Client-ID the router presents upstream, so a
+// replica's per-client quota and stats see the router as one client.
+const clientID = "maprouter"
+
 func newReplica(name string, cfg Config) *Replica {
 	return &Replica{
 		Name: name,
@@ -40,7 +44,7 @@ func newReplica(name string, cfg Config) *Replica {
 		// per-replica client retries only lightly: one retry absorbs a
 		// blip, anything worse should trip the breaker and move on.
 		client: mapclient.New(name, mapclient.Config{
-			ClientID:       cfg.ClientID,
+			ClientID:       clientID,
 			MaxAttempts:    2,
 			AttemptTimeout: cfg.UpstreamTimeout,
 			BaseBackoff:    50 * time.Millisecond,

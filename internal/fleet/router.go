@@ -31,9 +31,6 @@ type Config struct {
 	// UpstreamTimeout bounds each upstream HTTP attempt (default 60s,
 	// long enough for parked ?wait=1 proxying to be useful).
 	UpstreamTimeout time.Duration
-	// ClientID is the X-Client-ID the router presents upstream
-	// (default "maprouter").
-	ClientID string
 	// RetainJobs bounds the routed-job table (default 4096). Beyond it
 	// the router forgets its oldest jobs once they have finished,
 	// whether or not a client read them; a job its replica still queues
@@ -50,9 +47,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.UpstreamTimeout <= 0 {
 		c.UpstreamTimeout = 60 * time.Second
-	}
-	if c.ClientID == "" {
-		c.ClientID = "maprouter"
 	}
 	if c.RetainJobs <= 0 {
 		c.RetainJobs = 4096

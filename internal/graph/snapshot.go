@@ -7,8 +7,8 @@ import (
 )
 
 // Snapshot codec: a Graph's CSR arrays persisted as one snapfile
-// container, so re-loading a materialized graph costs a checksum pass
-// plus (on unix) a page-in instead of a two-pass parse or a netgen
+// container, so re-loading a materialized graph costs one file read
+// and a checksum pass instead of a two-pass parse or a netgen
 // re-generation. The engine's disk cache tier and mapingest's
 // `-o foo.csrbin` export both speak exactly this format.
 //
@@ -66,10 +66,11 @@ func (g *Graph) WriteSnapshot(path, note string) error {
 }
 
 // OpenSnapshot loads a graph snapshot written by WriteSnapshot and
-// returns the graph plus the writer's note. On unix the CSR arrays
-// alias a read-only file mapping (zero-copy); elsewhere they live in a
-// private aligned arena filled by one ReadFull. Either way the graph
-// is immutable and safe to share, like every other Graph.
+// returns the graph plus the writer's note. On little-endian hosts the
+// CSR arrays are typed views of the private heap arena snapfile.Open
+// reads the file into, so the graph holds the file's memory for
+// exactly as long as it lives; big-endian hosts decode copies. Either
+// way the graph is immutable and safe to share, like every other Graph.
 //
 // The snapshot is verified before anything is returned: container
 // checksum (via snapfile), section shapes against the header counts,

@@ -479,10 +479,9 @@ func (f *mmFormat) scan(r io.Reader, h hooks) (int64, error) {
 // --- METIS / Chaco ---
 
 type metisFormat struct {
-	n, m       int64
-	hasVW      bool
-	hasEW      bool
-	headerDone bool
+	n, m  int64
+	hasVW bool
+	hasEW bool
 }
 
 func (*metisFormat) name() string    { return "metis" }

@@ -119,30 +119,31 @@ type JobState struct {
 // must re-queue.
 func (s *JobState) Finished() bool { return s.Op == OpDone || s.Op == OpFailed }
 
-// Options tunes a Store; the zero value selects every default.
+// Options tunes a Store. Callers pass the zero value, which selects
+// every default; only this package's tests set the fields below.
 type Options struct {
-	// SegmentBytes rotates the active segment once it exceeds this size
+	// segmentBytes rotates the active segment once it exceeds this size
 	// (default 4 MiB).
-	SegmentBytes int64
-	// CompactSegments triggers compaction when a rotation would leave
+	segmentBytes int64
+	// compactSegments triggers compaction when a rotation would leave
 	// more than this many sealed segments (default 3): live state is
 	// rewritten into the fresh segment and the sealed ones are deleted.
-	CompactSegments int
-	// RetainDone bounds the finished jobs carried across compactions
+	compactSegments int
+	// retainDone bounds the finished jobs carried across compactions
 	// (default 4096, oldest dropped first). Unfinished jobs are never
 	// dropped.
-	RetainDone int
+	retainDone int
 }
 
 func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = 4 << 20
 	}
-	if o.CompactSegments <= 0 {
-		o.CompactSegments = 3
+	if o.compactSegments <= 0 {
+		o.compactSegments = 3
 	}
-	if o.RetainDone <= 0 {
-		o.RetainDone = 4096
+	if o.retainDone <= 0 {
+		o.retainDone = 4096
 	}
 	return o
 }
@@ -177,7 +178,7 @@ type Store struct {
 	sealed []string // sealed segment paths, oldest first
 
 	// jobs/order mirror the live ledger for compaction: every unfinished
-	// job plus the RetainDone most recent finished ones. finished counts
+	// job plus the retainDone most recent finished ones. finished counts
 	// the terminal subset so replay-time trimming stays O(1) per record.
 	jobs     map[string]*JobState
 	order    []string
@@ -249,7 +250,7 @@ func Open(dir string, opt Options) (*Store, *Recovery, error) {
 	// Compact eagerly when replay found a crowd of segments (e.g. a
 	// crash loop rotating on every boot): the fresh segment gets the
 	// live state and the old files go away.
-	if len(s.sealed) > opt.CompactSegments {
+	if len(s.sealed) > opt.compactSegments {
 		if err := s.compactLocked(); err != nil {
 			return nil, nil, err
 		}
@@ -359,16 +360,16 @@ func (s *Store) applyLocked(r Record) {
 	s.trimLocked()
 }
 
-// trimLocked drops the oldest finished jobs beyond RetainDone from the
+// trimLocked drops the oldest finished jobs beyond retainDone from the
 // live mirror. Their log records still exist until compaction deletes
 // the segments; they just stop being carried forward.
 func (s *Store) trimLocked() {
-	if s.finished <= s.opt.RetainDone {
+	if s.finished <= s.opt.retainDone {
 		return
 	}
 	keep := s.order[:0]
 	for _, id := range s.order {
-		if st := s.jobs[id]; s.finished > s.opt.RetainDone && st.Finished() {
+		if st := s.jobs[id]; s.finished > s.opt.retainDone && st.Finished() {
 			if s.done[st.Hash] == id {
 				delete(s.done, st.Hash)
 			}
@@ -384,7 +385,7 @@ func (s *Store) trimLocked() {
 // DoneID returns the ID of the latest done job the live mirror holds
 // under the canonical spec hash: the job an identical resubmission is
 // answered with instead of recomputing. It misses once that job has
-// been trimmed from the mirror (see Options.RetainDone).
+// been trimmed from the mirror (see Options.retainDone).
 func (s *Store) DoneID(hash string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -412,7 +413,7 @@ func (s *Store) Append(r Record) error {
 		return fmt.Errorf("jobstore: %w", err)
 	}
 	s.records++
-	if s.w.Size() >= s.opt.SegmentBytes {
+	if s.w.Size() >= s.opt.segmentBytes {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
@@ -456,7 +457,7 @@ func (s *Store) rotateLocked() error {
 	if err := s.openSegmentLocked(); err != nil {
 		return err
 	}
-	if len(s.sealed) > s.opt.CompactSegments {
+	if len(s.sealed) > s.opt.compactSegments {
 		return s.compactLocked()
 	}
 	return nil

@@ -88,9 +88,9 @@ func TestLifecycleReplay(t *testing.T) {
 
 func TestRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments force constant rotation; CompactSegments 2 forces
+	// Tiny segments force constant rotation; compactSegments 2 forces
 	// compaction pressure.
-	opt := Options{SegmentBytes: 1 << 10, CompactSegments: 2, RetainDone: 8}
+	opt := Options{segmentBytes: 1 << 10, compactSegments: 2, retainDone: 8}
 	s, _, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestRotationAndCompaction(t *testing.T) {
 	s.Submitted("job-straggler", "hs", specJSON(999))
 	st := s.Stats()
 	if st.Compactions == 0 {
-		t.Fatalf("no compaction after %d jobs with %d-byte segments", n, opt.SegmentBytes)
+		t.Fatalf("no compaction after %d jobs with %d-byte segments", n, opt.segmentBytes)
 	}
 	if st.Bytes > 64<<10 {
 		t.Fatalf("ledger grew to %d bytes despite compaction", st.Bytes)
@@ -122,7 +122,7 @@ func TestRotationAndCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The mirror carried: RetainDone finished jobs + the straggler.
+	// The mirror carried: retainDone finished jobs + the straggler.
 	unfinished, finished := 0, 0
 	for _, j := range rec.Jobs {
 		if j.Finished() {
@@ -134,8 +134,8 @@ func TestRotationAndCompaction(t *testing.T) {
 	if unfinished != 1 {
 		t.Fatalf("straggler lost: %d unfinished replayed", unfinished)
 	}
-	if finished == 0 || finished > opt.RetainDone {
-		t.Fatalf("replayed %d finished jobs, want 1..%d", finished, opt.RetainDone)
+	if finished == 0 || finished > opt.retainDone {
+		t.Fatalf("replayed %d finished jobs, want 1..%d", finished, opt.retainDone)
 	}
 	// The newest finished jobs survive, the oldest are trimmed.
 	wantNewest := fmt.Sprintf("job-%06d", n-1)
@@ -410,7 +410,7 @@ func TestStatsShape(t *testing.T) {
 // the log.
 func TestResultByHash(t *testing.T) {
 	dir := t.TempDir()
-	s, _, err := Open(dir, Options{RetainDone: 2})
+	s, _, err := Open(dir, Options{retainDone: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestResultByHash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, _, err := Open(dir, Options{RetainDone: 2})
+	s2, _, err := Open(dir, Options{retainDone: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestResultByHash(t *testing.T) {
 // replay, with Result serving by hash throughout.
 func TestTerminalSpecsAndOneRecordCompaction(t *testing.T) {
 	dir := t.TempDir()
-	opt := Options{CompactSegments: 1}
+	opt := Options{compactSegments: 1}
 	s, _, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -547,7 +547,7 @@ func TestTerminalSpecsAndOneRecordCompaction(t *testing.T) {
 	results("mirror", s)
 
 	// Two rotations leave two sealed segments, one more than
-	// CompactSegments allows: the live state is rewritten into a fresh
+	// compactSegments allows: the live state is rewritten into a fresh
 	// segment and the sealed ones are deleted.
 	s.mu.Lock()
 	for s.compactions == 0 {

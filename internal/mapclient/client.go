@@ -44,14 +44,17 @@ type Config struct {
 	// together does not return together. Defaults 100ms and 5s.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// MaxRetryAfter caps how long an honored Retry-After header can put
-	// the client to sleep (default 15s), so a misconfigured server
-	// cannot park callers for minutes.
-	MaxRetryAfter time.Duration
-	// HTTPClient overrides the transport (tests inject httptest
-	// clients). Its Timeout is ignored; AttemptTimeout governs.
-	HTTPClient *http.Client
+
+	// httpClient overrides the transport (this package's tests inject
+	// failing round trips). Its Timeout is ignored; AttemptTimeout
+	// governs.
+	httpClient *http.Client
 }
+
+// maxRetryAfter caps how long an honored Retry-After header can put
+// the client to sleep, so a misconfigured server cannot park callers
+// for minutes.
+const maxRetryAfter = 15 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.AttemptTimeout <= 0 {
@@ -66,11 +69,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 5 * time.Second
 	}
-	if c.MaxRetryAfter <= 0 {
-		c.MaxRetryAfter = 15 * time.Second
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
+	if c.httpClient == nil {
+		c.httpClient = &http.Client{}
 	}
 	return c
 }
@@ -150,7 +150,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 // otherwise full-jitter exponential backoff.
 func (c *Client) backoff(attempt int, lastErr error) time.Duration {
 	if apiErr, ok := lastErr.(*APIError); ok && apiErr.RetryAfter > 0 {
-		return min(apiErr.RetryAfter, c.cfg.MaxRetryAfter)
+		return min(apiErr.RetryAfter, maxRetryAfter)
 	}
 	// Double up to MaxBackoff by adding at most the headroom left below
 	// it: shifting first would overflow int64 on a long retry run.
@@ -180,7 +180,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if c.cfg.ClientID != "" {
 		req.Header.Set("X-Client-ID", c.cfg.ClientID)
 	}
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := c.cfg.httpClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -71,7 +71,7 @@ func TestDroppedConnectionsRetriedTransparently(t *testing.T) {
 	// dying replica does: an error before any response.
 	var trips atomic.Int64
 	cfg := fastCfg()
-	cfg.HTTPClient = &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+	cfg.httpClient = &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
 		if trips.Add(1) <= 2 {
 			return nil, errors.New("connection reset by peer")
 		}

@@ -10,9 +10,9 @@ import (
 // Snapshot codec for Result: the sibling of the graph CSR snapshot,
 // persisting a k-way partition (the assignment array plus its quality
 // scalars) in the same snapfile container — atomic writes, checksum
-// verification, zero-copy mmap loads. The engine's disk cache tier
+// verification, one heap read per load. The engine's disk cache tier
 // uses it to make partitions outlive the process: a warm restart
-// re-serves a multilevel partition for the cost of a page-in instead
+// re-serves a multilevel partition for the cost of a file read instead
 // of a full recursive-bisection run.
 //
 // Layout (all little-endian, via snapfile):

@@ -15,15 +15,15 @@
 //     section bound, and the payload checksum before returning; a
 //     truncated file, a flipped byte or a stale format all surface as
 //     an error the caller turns into a cache miss;
-//   - reads are zero-copy where the platform allows: on unix the file
-//     is mmapped and sections alias the mapping (file-backed read-only
-//     pages the kernel can reclaim under pressure), elsewhere — or
-//     when mapping fails — the payload is read with one ReadFull into
-//     a fresh 8-byte-aligned arena.
+//   - reads leave nothing behind: on every platform the file is read
+//     with one ReadAt into a fresh 8-byte-aligned arena on the
+//     garbage-collected heap, and sections alias that arena, so a
+//     snapshot's memory lives exactly as long as the values holding
+//     it, and an open leaves no mapping behind.
 //
 // All integers are little-endian. Big-endian hosts transparently take
 // the copying decode path, so the format is portable even though the
-// fast path reinterprets bytes in place.
+// little-endian path reinterprets the arena in place.
 package snapfile
 
 import (
@@ -50,16 +50,12 @@ const (
 	maxSectionSize = int64(1) << 40
 )
 
-// File is one opened container. Sections alias an mmapped region or a
-// private arena; either way they are read-only and remain valid for
-// the lifetime of the process (snapfile never unmaps — see Open).
+// File is one opened container. Its sections alias one private heap
+// arena that the garbage collector frees once neither the File nor any
+// slice of a section is reachable.
 type File struct {
 	// Meta is the writer's metadata words, verbatim.
 	Meta []uint64
-	// Mapped reports whether the sections alias an mmap region (true)
-	// or a private heap arena (false) — a diagnostic, not a semantic
-	// difference.
-	Mapped bool
 
 	sections [][]byte
 }
@@ -68,7 +64,8 @@ type File struct {
 func (f *File) NumSections() int { return len(f.sections) }
 
 // Section returns the i-th payload section. The bytes are read-only:
-// they may alias a shared file mapping.
+// the typed views of the codecs alias them and hand them to immutable
+// values.
 func (f *File) Section(i int) []byte { return f.sections[i] }
 
 // align8 rounds n up to the next multiple of 8.
@@ -188,19 +185,17 @@ func Write(path string, kind, kindVersion uint32, meta []uint64, sections [][]by
 	return nil
 }
 
-// Open maps (or reads) the container at path and verifies it end to
-// end: magic, container version, the expected kind/kindVersion, header
-// sanity, section bounds and the payload checksum. Any mismatch is an
-// error; a verified File never lies about its contents.
+// Open reads the container at path into a fresh 8-byte-aligned heap
+// arena and verifies it end to end: magic, container version, the
+// expected kind/kindVersion, header sanity, section bounds and the
+// payload checksum. Any mismatch is an error; a verified File never
+// lies about its contents.
 //
-// The returned sections stay valid for the life of the process: when
-// a verified file was mmapped the mapping is deliberately never
-// unmapped, because snapshot consumers (the engine's artifact cache)
-// hand the aliasing slices to long-lived immutable values whose
-// lifetime no single caller controls. A rejected file's mapping is
-// released before Open returns. The cost is one VMA per open mapping;
-// the pages themselves are file-backed, read-only and reclaimable by
-// the kernel, so resident memory tracks actual use, not mapping count.
+// The returned sections alias that arena and stay valid for as long as
+// anything references them: snapshot consumers (the engine's artifact
+// cache) hand the aliasing slices to long-lived immutable values, and
+// the arena is collected with the last of them. A rejected file's
+// arena is garbage as soon as Open returns.
 func Open(path string, kind, kindVersion uint32) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -219,45 +214,35 @@ func Open(path string, kind, kindVersion uint32) (*File, error) {
 		return nil, fmt.Errorf("snapfile: %s has unaligned size %d (truncated?)", path, size)
 	}
 
-	data, mapped, err := readOrMap(f, size)
+	data, err := readAligned(f, size)
 	if err != nil {
 		return nil, fmt.Errorf("snapfile: reading %s: %w", path, err)
 	}
-	// A rejected file must not keep its mapping: only a verified File's
-	// sections are handed out. The error is formatted first, since its
-	// arguments may alias the mapping.
-	reject := func(format string, args ...any) (*File, error) {
-		err := fmt.Errorf(format, args...)
-		if mapped {
-			munmap(data)
-		}
-		return nil, err
-	}
 
 	if string(data[:8]) != magic {
-		return reject("snapfile: %s: bad magic %q (want %q)", path, data[:8], magic)
+		return nil, fmt.Errorf("snapfile: %s: bad magic %q (want %q)", path, data[:8], magic)
 	}
 	if k := binary.LittleEndian.Uint32(data[8:]); k != kind {
-		return reject("snapfile: %s: kind %#x, want %#x", path, k, kind)
+		return nil, fmt.Errorf("snapfile: %s: kind %#x, want %#x", path, k, kind)
 	}
 	if v := binary.LittleEndian.Uint32(data[12:]); v != kindVersion {
-		return reject("snapfile: %s: format version %d, want %d", path, v, kindVersion)
+		return nil, fmt.Errorf("snapfile: %s: format version %d, want %d", path, v, kindVersion)
 	}
 	nMeta := int64(binary.LittleEndian.Uint32(data[16:]))
 	nSec := int64(binary.LittleEndian.Uint32(data[20:]))
 	if nMeta > maxMetaWords || nSec > maxSections {
-		return reject("snapfile: %s: implausible header (%d meta words, %d sections)", path, nMeta, nSec)
+		return nil, fmt.Errorf("snapfile: %s: implausible header (%d meta words, %d sections)", path, nMeta, nSec)
 	}
 	tableOff := int64(headerSize) + nMeta*8
 	payloadOff := tableOff + nSec*16
 	if payloadOff > size {
-		return reject("snapfile: %s: header needs %d bytes but file has %d (truncated?)", path, payloadOff, size)
+		return nil, fmt.Errorf("snapfile: %s: header needs %d bytes but file has %d (truncated?)", path, payloadOff, size)
 	}
 	if want, got := binary.LittleEndian.Uint64(data[24:]), mixSum64(checksumSeed, data[headerSize:]); want != got {
-		return reject("snapfile: %s: checksum mismatch (stored %016x, computed %016x) — corrupt or tampered", path, want, got)
+		return nil, fmt.Errorf("snapfile: %s: checksum mismatch (stored %016x, computed %016x) — corrupt or tampered", path, want, got)
 	}
 
-	out := &File{Meta: make([]uint64, nMeta), Mapped: mapped, sections: make([][]byte, nSec)}
+	out := &File{Meta: make([]uint64, nMeta), sections: make([][]byte, nSec)}
 	for i := int64(0); i < nMeta; i++ {
 		out.Meta[i] = binary.LittleEndian.Uint64(data[headerSize+8*i:])
 	}
@@ -265,21 +250,9 @@ func Open(path string, kind, kindVersion uint32) (*File, error) {
 		off := int64(binary.LittleEndian.Uint64(data[tableOff+16*i:]))
 		length := int64(binary.LittleEndian.Uint64(data[tableOff+16*i+8:]))
 		if off < payloadOff || off%8 != 0 || length < 0 || length > maxSectionSize || off+length > size {
-			return reject("snapfile: %s: section %d [%d, %d+%d) out of bounds", path, i, off, off, length)
+			return nil, fmt.Errorf("snapfile: %s: section %d [%d, %d+%d) out of bounds", path, i, off, off, length)
 		}
 		out.sections[i] = data[off : off+length : off+length]
 	}
 	return out, nil
-}
-
-// readOrMap produces the file's contents: an mmap view when the
-// platform supports it, otherwise one ReadFull into a fresh 8-byte-
-// aligned arena (a []uint64 reinterpreted, so typed zero-copy views of
-// the sections stay correctly aligned either way).
-func readOrMap(f *os.File, size int64) (data []byte, mapped bool, err error) {
-	if b, err := mmapFile(f, size); err == nil {
-		return b, true, nil
-	}
-	buf, err := readAligned(f, size)
-	return buf, false, err
 }

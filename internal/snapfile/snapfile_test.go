@@ -1,10 +1,13 @@
 package snapfile
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 const (
@@ -152,10 +155,60 @@ func TestViewRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRejectedOpenReleasesMapping: Open maps a file before verifying
-// it, so every rejection must unmap again. 200 opens of a corrupt file
-// may not leave 200 mappings behind.
-func TestRejectedOpenReleasesMapping(t *testing.T) {
+// TestBigEndianViews runs the copying branches every big-endian host
+// takes, by pretending this host is one. Values round-trip through
+// AsBytes32/AsBytes64, a written-then-opened container and
+// Int32s/Int64s; the copying encoders must write the bytes the
+// little-endian views alias, and the copying decoders must return
+// private copies equal to the little-endian views.
+func TestBigEndianViews(t *testing.T) {
+	xs32 := []int32{-5, 0, 7, 1 << 30, -1 << 31}
+	xs64 := []int64{-5, 0, 7, 1 << 60, -1 << 63}
+	dir := t.TempDir()
+	roundTrip := func(name string) (raw []byte, f *File, got32 []int32, got64 []int64) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := Write(path, testKind, testVersion, nil, [][]byte{AsBytes32(xs32), AsBytes64(xs64)}); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, err = Open(path, testKind, testVersion); err != nil {
+			t.Fatal(err)
+		}
+		if got32, err = Int32s(f.Section(0)); err != nil {
+			t.Fatal(err)
+		}
+		if got64, err = Int64s(f.Section(1)); err != nil {
+			t.Fatal(err)
+		}
+		return raw, f, got32, got64
+	}
+	leRaw, _, le32, le64 := roundTrip("le.snap")
+
+	host := hostLittleEndian
+	hostLittleEndian = false
+	t.Cleanup(func() { hostLittleEndian = host })
+
+	beRaw, f, be32, be64 := roundTrip("be.snap")
+	if !bytes.Equal(leRaw, beRaw) {
+		t.Fatal("the copying encoders wrote other bytes than the little-endian views")
+	}
+	if !slices.Equal(be32, xs32) || !slices.Equal(be64, xs64) || !slices.Equal(be32, le32) || !slices.Equal(be64, le64) {
+		t.Fatalf("copying round trip = %v, %v; little-endian views = %v, %v; want %v, %v", be32, be64, le32, le64, xs32, xs64)
+	}
+	if unsafe.Pointer(&be32[0]) == unsafe.Pointer(&f.Section(0)[0]) || unsafe.Pointer(&be64[0]) == unsafe.Pointer(&f.Section(1)[0]) {
+		t.Fatal("the copying decoders aliased the section instead of copying it")
+	}
+}
+
+// TestOpenLeavesNoMapping: Open reads a file into the heap and keeps
+// no mapping of it, whether it accepts the file or rejects it. 1,000
+// opens of a valid file and 200 of a corrupt one may not leave a
+// mapping each behind.
+func TestOpenLeavesNoMapping(t *testing.T) {
 	mapCount := func() int {
 		b, err := os.ReadFile("/proc/self/maps")
 		if err != nil {
@@ -163,22 +216,28 @@ func TestRejectedOpenReleasesMapping(t *testing.T) {
 		}
 		return strings.Count(string(b), "\n")
 	}
-	path := writeContainer(t)
-	data, err := os.ReadFile(path)
+	valid := writeContainer(t)
+	data, err := os.ReadFile(valid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)-1] ^= 0x40 // payload byte: only the checksum catches it
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	corrupt := filepath.Join(t.TempDir(), "corrupt.snap")
+	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	before := mapCount()
+	for i := 0; i < 1000; i++ {
+		if _, err := Open(valid, testKind, testVersion); err != nil {
+			t.Fatalf("open %d of the valid file: %v", i, err)
+		}
+	}
 	for i := 0; i < 200; i++ {
-		if _, err := Open(path, testKind, testVersion); err == nil || !strings.Contains(err.Error(), "checksum") {
+		if _, err := Open(corrupt, testKind, testVersion); err == nil || !strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("open %d of the corrupt file: err = %v, want a checksum mismatch", i, err)
 		}
 	}
 	if grew := mapCount() - before; grew >= 10 {
-		t.Fatalf("200 rejected opens grew the process's mappings by %d, want < 10", grew)
+		t.Fatalf("1000 accepted and 200 rejected opens grew the process's mappings by %d, want < 10", grew)
 	}
 }

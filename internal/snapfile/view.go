@@ -11,11 +11,11 @@ import (
 // This file holds the format's only unsafe code: reinterpreting byte
 // sections as typed slices (and typed slices as byte sections) without
 // copying. The reinterpretation is sound because every section starts
-// 8-byte aligned — in the file layout, in an mmap view (page aligned)
-// and in the read-fallback arena (a []uint64 reinterpreted) — and is
-// only ever valid on little-endian hosts, which is what the format
-// stores. Big-endian hosts take the copying encode/decode paths below,
-// so the format itself stays portable.
+// 8-byte aligned — in the file layout and in the arena Open reads it
+// into (a []uint64 reinterpreted) — and is only ever valid on
+// little-endian hosts, which is what the format stores. Big-endian
+// hosts take the copying encode/decode paths below, so the format
+// itself stays portable.
 
 // hostLittleEndian reports whether the running host stores integers
 // little-endian (amd64, arm64, riscv64, ... — every platform this
@@ -100,9 +100,9 @@ func Int64s(b []byte) ([]int64, error) {
 	return out, nil
 }
 
-// readAligned reads the whole file with one ReadFull into an arena
+// readAligned reads the whole file with one ReadAt into an arena
 // carved from a []uint64, so section views produced by Int32s/Int64s
-// stay correctly aligned even on the no-mmap path.
+// are correctly aligned.
 func readAligned(f *os.File, size int64) ([]byte, error) {
 	words := make([]uint64, size/8) // size%8 == 0 was checked by Open
 	buf := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size)
