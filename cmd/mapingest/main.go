@@ -13,13 +13,9 @@
 //	mapingest -lcc -weights sum roads.mtx   # largest component, summed
 //
 // Convert to the METIS format the rest of the toolchain reads
-// natively, or — with a .csrbin suffix — to the binary CSR snapshot
-// format the engine's disk cache speaks (checksummed and
-// fingerprinted; the note field records the source path; single input
-// only):
+// natively (single input only):
 //
 //	mapingest -o ca-GrQc.graph ca-GrQc.txt
-//	mapingest -o ca-GrQc.csrbin ca-GrQc.txt
 //	mapingest -o lcc.graph -lcc -remap lcc.ids ca-GrQc.txt
 //
 // The -remap file records one original vertex id per line (line i =
@@ -32,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/ingest"
 )
@@ -44,7 +39,7 @@ func main() {
 		lcc      = flag.Bool("lcc", false, "keep only the largest connected component")
 		workers  = flag.Int("workers", 0, "parallel fill shards (default GOMAXPROCS, capped at 8)")
 		jsonOut  = flag.Bool("json", false, "print machine-readable JSON instead of text")
-		outFile  = flag.String("o", "", "convert the (single) input to this file: METIS text, or the binary CSR snapshot format if the name ends in .csrbin")
+		outFile  = flag.String("o", "", "convert the (single) input to this file as METIS text")
 		remapOut = flag.String("remap", "", "write the CSR→original vertex id table to this file")
 	)
 	flag.Parse()
@@ -75,12 +70,7 @@ func main() {
 			fatal(err)
 		}
 		if *outFile != "" {
-			if strings.HasSuffix(*outFile, ".csrbin") {
-				err = res.Graph.WriteSnapshot(*outFile, path)
-			} else {
-				err = res.Graph.WriteMETISFile(*outFile)
-			}
-			if err != nil {
+			if err := res.Graph.WriteMETISFile(*outFile); err != nil {
 				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *outFile)

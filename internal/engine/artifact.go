@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -32,14 +33,29 @@ import (
 //     without re-running the build.
 //
 // The cache is bounded both by entry count and by the approximate byte
-// footprint of its values; eviction is LRU over fully-built entries.
+// footprint of its values; eviction is LRU over fully-built entries. A
+// partition is *one-shot* until a second request for its key, a hit or
+// a wait on its build, marks it reused: a job with a fresh partition
+// seed leaves one that no later job asks for. At most
+// max(1, maxEntries/8) built one-shot partitions stay resident, the
+// oldest evicted first, so they cannot crowd out what is shared. The
+// cache remembers the keys of the last maxEntries one-shot partitions
+// it evicted, so a request for one of them, although it rebuilds, is
+// its key's second and keeps the rebuilt entry as reused. Graphs are
+// exempt: an evicted upload can only be uploaded again.
 type ArtifactCache struct {
-	mu         sync.Mutex
-	entries    map[string]*artifactEntry
-	order      []string // least-recently-used first
-	maxEntries int
-	maxBytes   int64
-	bytes      int64
+	mu          sync.Mutex
+	entries     map[string]*artifactEntry
+	order       []string // least-recently-used first
+	maxEntries  int
+	maxBytes    int64
+	bytes       int64
+	oneShots    int // built entries with oneShot set
+	maxOneShots int
+	// askedOnce holds the keys of evicted one-shot entries, the last
+	// maxEntries of them, in eviction order in askedOrder.
+	askedOnce  map[string]struct{}
+	askedOrder []string
 
 	hits          int64
 	misses        int64
@@ -63,16 +79,30 @@ type ArtifactCache struct {
 }
 
 type artifactEntry struct {
-	key   string
-	ready chan struct{} // closed when val/err are set
-	val   any
-	bytes int64
-	err   error
+	key     string
+	ready   chan struct{} // closed when val/err are set
+	val     any
+	bytes   int64
+	err     error
+	oneShot bool // a partition requested once so far; guarded by the cache's mu
+}
+
+// built reports whether e's build has finished.
+func (e *artifactEntry) built() bool {
+	select {
+	case <-e.ready:
+		return true
+	default:
+		return false
+	}
 }
 
 // Artifact cache defaults: generous enough to hold a whole batch's
 // shared partitions at paper scale, small enough that an engine idling
-// after a huge run does not pin gigabytes.
+// after a huge run does not pin gigabytes. An eighth of the entries
+// (128) may hold one-shot partitions: mapbench's canonical matrices and
+// README's paper-quick matrix, submitted job by job, ask again for
+// every partition they share within that many one-shot builds.
 const (
 	defaultArtifactEntries = 1024
 	defaultArtifactBytes   = 256 << 20
@@ -88,10 +118,12 @@ func NewArtifactCache(maxEntries int, maxBytes int64) *ArtifactCache {
 		maxBytes = defaultArtifactBytes
 	}
 	return &ArtifactCache{
-		entries:    make(map[string]*artifactEntry),
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		fps:        make(map[*graph.Graph]graph.Fingerprint),
+		entries:     make(map[string]*artifactEntry),
+		maxEntries:  maxEntries,
+		maxBytes:    maxBytes,
+		maxOneShots: max(1, maxEntries/8),
+		askedOnce:   make(map[string]struct{}),
+		fps:         make(map[*graph.Graph]graph.Fingerprint),
 	}
 }
 
@@ -133,16 +165,20 @@ func (c *ArtifactCache) fingerprintOf(g *graph.Graph) graph.Fingerprint {
 // do returns the cached value for key, or runs build exactly once to
 // produce it (concurrent callers for the same key wait for that one
 // build). size reports the value's footprint for byte-bounded eviction.
-func (c *ArtifactCache) do(key string, build func() (any, int64, error)) (any, error) {
+// oneShot makes a new entry one-shot until a second request for key,
+// unless key is an evicted one-shot entry's, whose rebuild is that
+// second request.
+func (c *ArtifactCache) do(key string, oneShot bool, build func() (any, int64, error)) (any, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
-		inflight := false
-		select {
-		case <-e.ready:
-		default:
-			inflight = true
-		}
+		inflight := !e.built()
 		c.touchLocked(key)
+		if e.oneShot {
+			e.oneShot = false
+			if !inflight {
+				c.oneShots-- // a build in flight is not counted yet
+			}
+		}
 		c.mu.Unlock()
 		<-e.ready
 		// Classify the lookup only once the outcome is known: a cached
@@ -161,7 +197,11 @@ func (c *ArtifactCache) do(key string, build func() (any, int64, error)) (any, e
 		c.mu.Unlock()
 		return e.val, e.err
 	}
-	e := &artifactEntry{key: key, ready: make(chan struct{})}
+	if oneShot {
+		_, asked := c.askedOnce[key]
+		oneShot = !asked
+	}
+	e := &artifactEntry{key: key, ready: make(chan struct{}), oneShot: oneShot}
 	c.entries[key] = e
 	c.order = append(c.order, key)
 	c.misses++
@@ -173,12 +213,18 @@ func (c *ArtifactCache) do(key string, build func() (any, int64, error)) (any, e
 	// runGuarded contains the panic for the building job itself, but the
 	// waiters and future hits must see a completed entry, not a hang).
 	publish := func() {
-		close(e.ready)
 		c.mu.Lock()
-		// The entry cannot have been evicted while building — evictLocked
-		// skips entries whose ready channel is still open — so the
-		// footprint accounting and the eviction sweep happen exactly once.
+		// ready closes under mu, so eviction, Invalidate and later
+		// requests never see a built entry whose footprint or one-shot
+		// place is not yet counted; and the entry cannot have been
+		// evicted while building (evictLocked skips entries whose ready
+		// channel is still open), so the accounting happens exactly once.
+		// Builds in flight hold no place under the one-shot cap.
+		close(e.ready)
 		c.bytes += e.bytes
+		if e.oneShot {
+			c.oneShots++
+		}
 		spill := c.evictLocked()
 		c.mu.Unlock()
 		// Re-spill evicted values to the disk tier outside the lock (store
@@ -214,23 +260,25 @@ func (c *ArtifactCache) do(key string, build func() (any, int64, error)) (any, e
 func (c *ArtifactCache) Invalidate(key string) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
-		select {
-		case <-e.ready:
-		default:
+		if !e.built() {
 			c.mu.Unlock()
 			return // still building
 		}
-		delete(c.entries, key)
-		for i, k := range c.order {
-			if k == key {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
-		}
-		c.bytes -= e.bytes
+		c.removeLocked(slices.Index(c.order, key), e)
 	}
 	c.mu.Unlock()
 	c.disk.remove(key)
+}
+
+// removeLocked drops the fully-built entry e, which sits at order[i],
+// and its share of the bounds. Caller holds c.mu.
+func (c *ArtifactCache) removeLocked(i int, e *artifactEntry) {
+	delete(c.entries, e.key)
+	c.order = append(c.order[:i], c.order[i+1:]...)
+	c.bytes -= e.bytes
+	if e.oneShot {
+		c.oneShots--
+	}
 }
 
 // touchLocked refreshes key's recency. Caller holds c.mu.
@@ -243,42 +291,48 @@ func (c *ArtifactCache) touchLocked(key string) {
 	}
 }
 
-// evictLocked drops the least-recently-used fully-built entries while
-// either bound is exceeded, returning them so the caller can re-spill
-// their values to the disk tier after releasing the lock. Entries still
-// building are skipped: their waiters must see the close of ready, and
-// their footprint is unknown. Caller holds c.mu.
+// evictLocked drops fully-built entries while a bound is exceeded,
+// returning them so the caller can re-spill their values to the disk
+// tier after releasing the lock. Past the entry or byte bound it drops
+// the least-recently-used entry; past the one-shot cap alone, the
+// oldest one-shot partition (its only request was its build, so its
+// place in order is its age). Entries still building are skipped:
+// their waiters must see the close of ready, and their footprint is
+// unknown. Caller holds c.mu.
 func (c *ArtifactCache) evictLocked() []*artifactEntry {
 	var spill []*artifactEntry
-	for len(c.order) > c.maxEntries || c.bytes > c.maxBytes {
-		evicted := false
-		for i, key := range c.order {
+	for {
+		full := len(c.order) > c.maxEntries || c.bytes > c.maxBytes
+		if !full && c.oneShots <= c.maxOneShots {
+			return spill
+		}
+		i := slices.IndexFunc(c.order, func(key string) bool {
 			e := c.entries[key]
-			select {
-			case <-e.ready:
-				delete(c.entries, key)
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				c.bytes -= e.bytes
-				c.evictions++
-				spill = append(spill, e)
-				evicted = true
-			default:
-				continue
+			return (full || e.oneShot) && e.built()
+		})
+		if i < 0 {
+			return spill // everything eligible is still building
+		}
+		e := c.entries[c.order[i]]
+		if e.oneShot {
+			c.askedOnce[e.key] = struct{}{}
+			c.askedOrder = append(c.askedOrder, e.key)
+			if len(c.askedOrder) > c.maxEntries {
+				delete(c.askedOnce, c.askedOrder[0])
+				c.askedOrder = c.askedOrder[1:]
 			}
-			break
 		}
-		if !evicted {
-			break // everything resident is still building
-		}
+		c.removeLocked(i, e)
+		c.evictions++
+		spill = append(spill, e)
 	}
-	return spill
 }
 
 // Graph returns the graph cached under key, building it on first use.
 // With a disk tier attached, a memory miss consults disk before
 // running build, and a fresh build is written through.
 func (c *ArtifactCache) Graph(key string, build func() (*graph.Graph, error)) (*graph.Graph, error) {
-	v, err := c.do(key, func() (any, int64, error) {
+	v, err := c.do(key, false, func() (any, int64, error) {
 		if val, bytes, ok := c.disk.load(key); ok {
 			if g, isGraph := val.(*graph.Graph); isGraph {
 				return g, bytes, nil
@@ -302,13 +356,19 @@ func (c *ArtifactCache) Graph(key string, build func() (*graph.Graph, error)) (*
 }
 
 // Partition returns the partition cached under key, building it on
-// first use. The second return reports whether the result came from the
-// cache — a memory hit, a coalesced wait on another caller's in-flight
-// build, or a verified disk snapshot — rather than from this caller's
-// own build.
+// first use as a one-shot entry. The second return reports whether the
+// result came from the cache — a memory hit, a coalesced wait on
+// another caller's in-flight build, or a verified disk snapshot —
+// rather than from this caller's own build.
 func (c *ArtifactCache) Partition(key string, build func() (*partition.Result, error)) (*partition.Result, bool, error) {
+	return c.partition(key, true, build)
+}
+
+// partition is Partition; oneShot false builds an entry that is never
+// one-shot, for a partition later jobs are known to ask for.
+func (c *ArtifactCache) partition(key string, oneShot bool, build func() (*partition.Result, error)) (*partition.Result, bool, error) {
 	var built bool
-	v, err := c.do(key, func() (any, int64, error) {
+	v, err := c.do(key, oneShot, func() (any, int64, error) {
 		if val, bytes, ok := c.disk.load(key); ok {
 			if p, isPart := val.(*partition.Result); isPart {
 				return p, bytes, nil
@@ -348,7 +408,7 @@ type ArtifactStats struct {
 	// savings); ErrorHits counts lookups served a cached *error* — no
 	// stage work was saved, so they stay out of the hit rate; Misses
 	// counts builds (including failed ones); Evictions counts entries
-	// dropped by the LRU bounds.
+	// dropped by the LRU bounds or the one-shot cap.
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
 	InflightWaits int64 `json:"inflight_waits"`

@@ -219,6 +219,114 @@ func TestArtifactEntryCapLRU(t *testing.T) {
 	}
 }
 
+// TestArtifactOneShotPartitionCap pins the one-shot rule: a partition
+// requested once is one of at most max(1, maxEntries/8) such entries,
+// evicted oldest first, while graphs and partitions requested twice
+// keep the full LRU bound. Builds in flight hold no place under the
+// cap, and a request for an evicted one-shot partition is its key's
+// second, so the rebuilt entry stays as reused.
+func TestArtifactOneShotPartitionCap(t *testing.T) {
+	part := func() (*partition.Result, error) { return &partition.Result{Part: []int32{0}}, nil }
+	fresh := func(c *ArtifactCache, n int) {
+		for i := 0; i < n; i++ {
+			c.Partition(fmt.Sprintf("part:fresh|seed=%d", i), part)
+		}
+	}
+	reused := func(t *testing.T, c *ArtifactCache, key string) bool {
+		t.Helper()
+		_, r, err := c.Partition(key, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	t.Run("default cap keeps 128 one-shot partitions", func(t *testing.T) {
+		c := NewArtifactCache(0, 0)
+		c.Partition("part:shared", part)
+		if !reused(t, c, "part:shared") {
+			t.Fatal("second request for a resident partition was not reused")
+		}
+		c.Graph("graph:once", func() (*graph.Graph, error) { return graph.NewBuilder(2).Build(), nil })
+		fresh(c, 1100)
+		resident := 0
+		for key := range c.entries {
+			if strings.HasPrefix(key, "part:fresh|") {
+				resident++
+			}
+		}
+		if resident != 128 {
+			t.Errorf("%d one-shot partitions resident after 1100 builds, want 128", resident)
+		}
+		if !reused(t, c, "part:shared") {
+			t.Error("a reused partition was evicted by one-shot builds")
+		}
+		if _, err := c.Graph("graph:once", func() (*graph.Graph, error) {
+			return nil, errors.New("rebuilt")
+		}); err != nil {
+			t.Error("a graph entry was evicted by one-shot builds")
+		}
+	})
+	for _, others := range []int{127, 128} {
+		t.Run(fmt.Sprintf("after %d other one-shot builds", others), func(t *testing.T) {
+			c := NewArtifactCache(0, 0)
+			c.Partition("part:p", part)
+			fresh(c, others)
+			if got, want := reused(t, c, "part:p"), others < 128; got != want {
+				t.Errorf("reused = %v, want %v", got, want)
+			}
+		})
+	}
+	for _, maxEntries := range []int{1, 2} {
+		t.Run(fmt.Sprintf("NewArtifactCache(%d, 0)", maxEntries), func(t *testing.T) {
+			c := NewArtifactCache(maxEntries, 0)
+			c.Partition("part:p", part)
+			if !reused(t, c, "part:p") {
+				t.Error("a partition requested twice in a row was not reused")
+			}
+		})
+	}
+	t.Run("builds in flight hold no place under the cap", func(t *testing.T) {
+		c := NewArtifactCache(8, 0) // a one-shot cap of 1
+		started, release := make(chan struct{}), make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Partition("part:slow", func() (*partition.Result, error) {
+				close(started)
+				<-release
+				return part()
+			})
+		}()
+		<-started
+		c.Partition("part:p", part)
+		if !reused(t, c, "part:p") {
+			t.Error("a finished one-shot partition was evicted for a build still in flight")
+		}
+		close(release)
+		wg.Wait()
+	})
+	t.Run("a second pass over 200 one-shot partitions", func(t *testing.T) {
+		c := NewArtifactCache(0, 0)
+		fresh(c, 200)
+		// The second pass rebuilds the 72 evicted ones as reused, so
+		// they evict none of the 128 still resident; the third finds
+		// all 200.
+		for pass, want := range []int{128, 200} {
+			n := 0
+			for i := 0; i < 200; i++ {
+				if reused(t, c, fmt.Sprintf("part:fresh|seed=%d", i)) {
+					n++
+				}
+			}
+			if n != want {
+				t.Errorf("request %d of each key: %d reused, want %d", pass+2, n, want)
+			}
+		}
+	})
+}
+
 // BenchmarkArtifactCacheHit measures the steady-state lookup cost of a
 // resident artifact — the per-job overhead a shared-partition batch
 // pays instead of a full multilevel partition.

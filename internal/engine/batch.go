@@ -143,7 +143,10 @@ func ExpandBatch(b BatchSpec, limit int) ([]JobSpec, error) {
 // skipped by SkipTooSmall contribute an empty ID at their position, so
 // the slice shape stays rectangular. Every graph, and under
 // SkipTooSmall every topology, is resolved before the first job is
-// queued, so a bad one fails the batch with nothing queued.
+// queued, so a bad one fails the batch with nothing queued. The jobs'
+// partitions are never one-shot in the artifact cache (see
+// ArtifactCache): another topology of the batch, or the next case's
+// batch, may ask for one however many jobs later.
 func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 	// A batch larger than the retention window could have its earliest
 	// finished jobs evicted before RunBatch collects them; reject it
@@ -217,6 +220,7 @@ func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 			ids = append(ids, "")
 			continue
 		}
+		spec.batched = true
 		job, err := e.Submit(spec)
 		if err != nil {
 			return ids, err

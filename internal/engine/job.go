@@ -268,6 +268,13 @@ type JobSpec struct {
 	// IncludeAssignment returns the enhanced mapping itself in the
 	// result (can be large).
 	IncludeAssignment bool `json:"include_assignment,omitempty"`
+
+	// batched marks a job SubmitBatch queued: its partition is built
+	// under the artifact cache's LRU bounds only, never one-shot. It is
+	// neither encoded nor hashed, so a batch job a restart requeues from
+	// the ledger, and a batch a client expands itself (mapclient,
+	// maprouter), partition as single jobs do.
+	batched bool
 }
 
 func (s JobSpec) withDefaults() JobSpec {
@@ -549,10 +556,16 @@ func (e *Engine) runPipeline(spec JobSpec, stage func(name string, seconds float
 				gkey = "fp:" + fp.String()
 			}
 			key := fmt.Sprintf("part:%s|k=%d|eps=%g|seed=%d", gkey, cfg.K, cfg.Epsilon, pseed)
+			build := func() (*partition.Result, error) { return partition.Partition(ga, cfg) }
 			var err error
-			part, res.PartitionReused, err = e.artifacts.Partition(key, func() (*partition.Result, error) {
-				return partition.Partition(ga, cfg)
-			})
+			if spec.batched {
+				// A batch's jobs ask for each other's partitions however
+				// far apart they run: across cases in SharedPartition
+				// mode, across equal-PE topologies otherwise.
+				part, res.PartitionReused, err = e.artifacts.partition(key, false, build)
+			} else {
+				part, res.PartitionReused, err = e.artifacts.Partition(key, build)
+			}
 			res.BaseSeconds = time.Since(t0).Seconds()
 			return err
 		}); err != nil {

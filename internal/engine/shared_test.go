@@ -158,3 +158,39 @@ func TestWaitCtxCancel(t *testing.T) {
 		t.Error("WaitCtx on unknown job did not fail")
 	}
 }
+
+// TestSharedPartitionBatchesPastOneShotCap runs the paper's shape, one
+// SharedPartition batch per case, with more partitions per batch than
+// the artifact cache keeps one-shot: a batch's partitions are never
+// one-shot, so the later cases reuse every partition the first built.
+func TestSharedPartitionBatchesPastOneShotCap(t *testing.T) {
+	reps := defaultArtifactEntries/8 + 2
+	e := New(Options{Workers: 2})
+	defer e.Close()
+	for i, c := range []Case{C2Identity, C3GreedyAllC, C4GreedyMin} {
+		jobs, err := e.RunBatch(BatchSpec{
+			Graphs:          []GraphSpec{{Network: "p2p-Gnutella", Scale: 0.02}},
+			Topologies:      []string{"grid:2x2"},
+			Case:            c,
+			Reps:            reps,
+			Seed:            5,
+			NumHierarchies:  1,
+			SharedPartition: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused := 0
+		for _, j := range jobs {
+			if j.Status != StatusDone {
+				t.Fatalf("%s: job %s: %s", c, j.ID, j.Error)
+			}
+			if j.Result.PartitionReused {
+				reused++
+			}
+		}
+		if want := min(i, 1) * reps; reused != want {
+			t.Errorf("%s batch: %d of %d jobs reused a partition, want %d", c, reused, reps, want)
+		}
+	}
+}

@@ -9,8 +9,7 @@ import (
 // Snapshot codec: a Graph's CSR arrays persisted as one snapfile
 // container, so re-loading a materialized graph costs one file read
 // and a checksum pass instead of a two-pass parse or a netgen
-// re-generation. The engine's disk cache tier and mapingest's
-// `-o foo.csrbin` export both speak exactly this format.
+// re-generation. The engine's disk cache tier writes and reads it.
 //
 // Layout (all little-endian, via snapfile):
 //
