@@ -72,20 +72,39 @@ func main() {
 	flag.Var(&graphs, "graph", "add a real dataset file (SNAP/Matrix Market/METIS) as matrix cells; repeatable")
 	flag.Parse()
 
-	if *list {
-		if err := listRows(*matrixFile, *smoke, *full, *reps, *seed, *shared, graphs, *graphLCC); err != nil {
+	var results *bench.Results
+	var err error
+	if *diffFile != "" && !*list {
+		results, err = bench.ReadFile(*diffFile)
+	} else {
+		var spec bench.Spec
+		if spec, err = selectMatrix(*matrixFile, *smoke, *full); err != nil {
 			fatal(err)
 		}
-		return
+		// A run and -list take their cells and overrides from here, so
+		// -list prints the jobs a run submits. An absent -graph file
+		// still expands (and is skipped with a count), so a stale path
+		// is visible rather than silently ignored.
+		for _, path := range graphs {
+			spec.Files = append(spec.Files, bench.FileCell{Path: path, LargestComponent: *graphLCC})
+		}
+		if *reps > 0 {
+			spec.Reps = *reps
+		}
+		if *seed != 0 {
+			spec.Seed = *seed
+		}
+		if *shared {
+			spec.SharedPartition = true
+		}
+		if *list {
+			if err := listRows(spec); err != nil {
+				fatal(err)
+			}
+			return
+		}
+		results, err = bench.Run(spec, bench.RunOptions{Workers: *workers, Progress: progress(*quiet)})
 	}
-
-	results, err := obtainResults(*matrixFile, *smoke, *full, *diffFile, graphs, *graphLCC, bench.RunOptions{
-		Workers:         *workers,
-		Reps:            *reps,
-		Seed:            *seed,
-		SharedPartition: *shared,
-		Progress:        progress(*quiet),
-	})
 	if err != nil {
 		fatal(err)
 	}
@@ -126,29 +145,6 @@ type stringList []string
 func (s *stringList) String() string     { return fmt.Sprint([]string(*s)) }
 func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
 
-// obtainResults either loads an existing results file (-diff) or runs
-// the selected matrix.
-func obtainResults(matrixFile string, smoke, full bool, diffFile string, graphs []string, graphLCC bool, opt bench.RunOptions) (*bench.Results, error) {
-	if diffFile != "" {
-		return bench.ReadFile(diffFile)
-	}
-	spec, err := selectMatrix(matrixFile, smoke, full)
-	if err != nil {
-		return nil, err
-	}
-	addGraphCells(&spec, graphs, graphLCC)
-	return bench.Run(spec, opt)
-}
-
-// addGraphCells appends -graph dataset files to the matrix as file
-// cells; absent files still expand (and are skipped with a count), so a
-// stale path is visible rather than silently ignored.
-func addGraphCells(spec *bench.Spec, graphs []string, lcc bool) {
-	for _, path := range graphs {
-		spec.Files = append(spec.Files, bench.FileCell{Path: path, LargestComponent: lcc})
-	}
-}
-
 func selectMatrix(matrixFile string, smoke, full bool) (bench.Spec, error) {
 	switch {
 	case matrixFile != "":
@@ -167,21 +163,7 @@ func selectMatrix(matrixFile string, smoke, full bool) (bench.Spec, error) {
 // listRows prints the fully-expanded matrix — one line per job with
 // its derived seeds and graph instance key — without running anything:
 // the ground truth for "which jobs share a partition artifact".
-func listRows(matrixFile string, smoke, full bool, reps int, seed int64, shared bool, graphs []string, graphLCC bool) error {
-	spec, err := selectMatrix(matrixFile, smoke, full)
-	if err != nil {
-		return err
-	}
-	addGraphCells(&spec, graphs, graphLCC)
-	if reps > 0 {
-		spec.Reps = reps
-	}
-	if seed != 0 {
-		spec.Seed = seed
-	}
-	if shared {
-		spec.SharedPartition = true
-	}
+func listRows(spec bench.Spec) error {
 	rows, skipped, err := bench.Rows(spec)
 	if err != nil {
 		return err

@@ -12,11 +12,11 @@
 //     × canonical topology specs from internal/topology × initial
 //     mappers (random, IDENTITY, GREEDYALLC, GREEDYMIN, DRB/SCOTCH) ×
 //     repetitions with derived per-rep seeds;
-//   - a runner (Run) executing every cell as jobs on the concurrent
-//     mapping engine's worker pool, collecting quality metrics (Coco,
-//     cut, dilation, imbalance before/after enhancement) and
-//     performance metrics (per-stage wall times from the engine's job
-//     results, jobs/sec throughput);
+//   - a runner (Run) executing every cell as an engine batch of its
+//     repetitions on the concurrent mapping engine's worker pool,
+//     collecting quality metrics (Coco, cut, dilation, imbalance
+//     before/after enhancement) and performance metrics (per-stage
+//     wall times from the engine's job results, jobs/sec throughput);
 //   - a baseline gate (Compare) diffing two result files with a
 //     relative tolerance, so CI can fail when a quality metric
 //     regresses.

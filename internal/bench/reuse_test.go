@@ -14,8 +14,12 @@ import (
 // SCOTCH, which maps by DRB) computes its partition once per distinct
 // (network, scale, PE count, partition seed) and reuses it otherwise.
 // A cache policy that evicts a partition before a row that shares it
-// runs shows up here as an extra computed partition. Tagged !race: the
-// two matrices take seconds plain and tens of seconds under -race.
+// runs shows up here as an extra computed partition. The third matrix
+// puts each partition's sharers 130 jobs apart: its two 16-PE
+// topologies share every rep's partition, past the artifact cache's
+// 128-entry window for partitions no second job has asked for yet.
+// Tagged !race: the matrices take seconds plain and tens of seconds
+// under -race.
 func TestCanonicalMatricesPartitionReuse(t *testing.T) {
 	type partKey struct {
 		network  string
@@ -23,7 +27,13 @@ func TestCanonicalMatricesPartitionReuse(t *testing.T) {
 		pes      int
 		partSeed int64
 	}
-	for _, spec := range []Spec{Smoke(), SmokeShared()} {
+	far := tinySpec()
+	far.Name = "far-sharers"
+	far.Topologies = []string{"hypercube:4", "grid:4x4"}
+	far.Cases = []string{"identity"}
+	far.Reps = 130
+	far.NumHierarchies = 1
+	for _, spec := range []Spec{Smoke(), SmokeShared(), far} {
 		t.Run(spec.Name, func(t *testing.T) {
 			rows, _, err := Rows(spec)
 			if err != nil {

@@ -14,22 +14,24 @@ import (
 type Row struct {
 	Scenario
 	Rep int `json:"rep"`
-	// Seed drives mapping and TIMER (engine.BatchSeed of the matrix
-	// seed, rep and case).
+	// Seed drives mapping and TIMER (the engine batch's per-job seed,
+	// derived from the matrix seed, rep and case).
 	Seed int64 `json:"seed"`
 	// PartitionSeed drives the partition stage: equal to Seed in the
-	// default mode, case-independent (engine.SharedPartitionSeed) in
-	// shared-partition mode. Jobs with equal (GraphKey, PEs,
-	// PartitionSeed) share one partition artifact.
+	// default mode, case-independent in shared-partition mode. Jobs with
+	// equal (GraphKey, PEs, PartitionSeed) share one partition artifact.
 	PartitionSeed int64 `json:"partition_seed"`
 	// GraphKey identifies the generated instance ("network@scale#seed");
 	// all reps and cases of a scenario share it.
 	GraphKey string `json:"graph_key"`
 }
 
-// Rows expands the matrix into the exact per-job rows Run submits, in
-// submission order (scenarios outermost, reps innermost). It returns
-// the rows and the number of cells skipped as too small.
+// Rows expands the matrix into the per-job rows Run submits, in
+// submission order (scenarios outermost, reps innermost), by expanding
+// each scenario's engine batch. It returns the rows and the number of
+// cells skipped as too small. Dataset files are not loaded here, so
+// their cells are listed whatever their size: Run drops those whose
+// graph does not outsize the topology, and counts them skipped.
 func Rows(spec Spec) ([]Row, int, error) {
 	spec = spec.withDefaults()
 	scenarios, skipped, err := spec.Expand()
@@ -38,22 +40,42 @@ func Rows(spec Spec) ([]Row, int, error) {
 	}
 	rows := make([]Row, 0, len(scenarios)*spec.Reps)
 	for _, sc := range scenarios {
-		for rep := 0; rep < spec.Reps; rep++ {
+		jobs, err := engine.ExpandBatch(spec.batch(sc, engine.GraphSpec{Network: sc.Network, Scale: sc.Scale}), spec.Reps)
+		if err != nil {
+			return nil, skipped, err
+		}
+		for rep, js := range jobs {
 			r := Row{
-				Scenario: sc,
-				Rep:      rep,
-				Seed:     engine.BatchSeed(spec.Seed, rep, sc.Case),
-				GraphKey: sc.graphKey(spec.Seed),
+				Scenario:      sc,
+				Rep:           rep,
+				Seed:          js.Seed,
+				PartitionSeed: js.PartitionSeed,
+				GraphKey:      sc.graphKey(spec.Seed),
 			}
-			if spec.SharedPartition {
-				r.PartitionSeed = engine.SharedPartitionSeed(spec.Seed, rep)
-			} else {
-				r.PartitionSeed = r.Seed
+			if r.PartitionSeed == 0 {
+				r.PartitionSeed = r.Seed // the engine's default
 			}
 			rows = append(rows, r)
 		}
 	}
 	return rows, skipped, nil
+}
+
+// batch is the engine batch behind one scenario: spec.Reps jobs on gs
+// and the scenario's topology and case, under the matrix's seed,
+// epsilon, NH and partition mode. Run submits it and Rows expands it,
+// so -list prints what a run submits.
+func (s Spec) batch(sc Scenario, gs engine.GraphSpec) engine.BatchSpec {
+	return engine.BatchSpec{
+		Graphs:          []engine.GraphSpec{gs},
+		Topologies:      []string{sc.Topology},
+		Case:            sc.Case,
+		Reps:            s.Reps,
+		Epsilon:         s.Epsilon,
+		Seed:            s.Seed,
+		NumHierarchies:  s.NumHierarchies,
+		SharedPartition: s.SharedPartition,
+	}
 }
 
 // graphKey identifies the graph instance behind a scenario of a matrix

@@ -18,39 +18,18 @@ import (
 type RunOptions struct {
 	// Workers sizes the engine's worker pool (default GOMAXPROCS).
 	Workers int
-	// Reps overrides the spec's repetition count when > 0.
-	Reps int
-	// Seed overrides the spec's seed when != 0.
-	Seed int64
-	// SharedPartition forces the spec into shared-partition mode (see
-	// Spec.SharedPartition); false leaves the spec's own setting.
-	SharedPartition bool
 	// Progress, when non-nil, receives one line per completed scenario.
 	Progress func(line string)
-	// Engine, when non-nil, runs the matrix on an existing engine
-	// (sharing its topology cache) instead of a private one. The
-	// engine's queue and retention window must cover the whole matrix.
-	Engine *engine.Engine
 }
 
 // Run expands the matrix and executes every cell on the concurrent
-// mapping engine: each repetition is one engine job with a derived seed
-// (engine.BatchSeed, matching engine batches), each network is
-// generated exactly once and shared read-only across its jobs, and all
-// jobs flow through one worker pool so the matrix saturates the
-// machine. Individual job failures mark their scenario failed without
-// aborting the run.
+// mapping engine: each scenario is one engine batch (Engine.SubmitBatch)
+// of its repetitions, each network is generated exactly once and shared
+// read-only across its jobs, and all jobs flow through one worker pool
+// so the matrix saturates the machine. Individual job failures mark
+// their scenario failed without aborting the run.
 func Run(spec Spec, opt RunOptions) (*Results, error) {
 	spec = spec.withDefaults()
-	if opt.Reps > 0 {
-		spec.Reps = opt.Reps
-	}
-	if opt.Seed != 0 {
-		spec.Seed = opt.Seed
-	}
-	if opt.SharedPartition {
-		spec.SharedPartition = true
-	}
 	scenarios, skipped, err := spec.Expand()
 	if err != nil {
 		return nil, err
@@ -100,15 +79,12 @@ func Run(spec Spec, opt RunOptions) (*Results, error) {
 	}
 
 	total := len(scenarios) * spec.Reps
-	eng := opt.Engine
-	if eng == nil {
-		eng = engine.New(engine.Options{
-			Workers:    opt.Workers,
-			QueueCap:   total,
-			RetainJobs: total + 1,
-		})
-		defer eng.Close()
-	}
+	eng := engine.New(engine.Options{
+		Workers:    opt.Workers,
+		QueueCap:   total,
+		RetainJobs: total + 1,
+	})
+	defer eng.Close()
 
 	// Ingest each dataset file once through the engine's registry; its
 	// scenarios then run by reference like any mapd client's. Cells whose
@@ -136,37 +112,23 @@ func Run(spec Spec, opt RunOptions) (*Results, error) {
 	start := time.Now()
 	ids := make([]string, 0, total)
 	for _, sc := range scenarios {
-		for rep := 0; rep < spec.Reps; rep++ {
-			gs := engine.GraphSpec{
-				Network: sc.Network,
-				Scale:   sc.Scale,
-				Seed:    spec.Seed,
-				G:       graphs[instKey(sc)],
+		// A generated network rides pinned: SubmitBatch keeps G as is,
+		// so a paper-scale graph larger than the artifact cache's byte
+		// bound is not evicted and generated again. A dataset ref is
+		// resolved once per batch.
+		gs := engine.GraphSpec{Network: sc.Network, Scale: sc.Scale, Seed: spec.Seed, G: graphs[instKey(sc)]}
+		if sc.File != "" {
+			gs = engine.GraphSpec{Ref: fileInfos[sc.File].Ref}
+		}
+		batchIDs, err := eng.SubmitBatch(spec.batch(sc, gs))
+		ids = append(ids, batchIDs...)
+		if err != nil {
+			// Drain what was already enqueued before failing: those
+			// jobs run regardless.
+			for _, id := range ids {
+				eng.Wait(id)
 			}
-			if sc.File != "" {
-				gs = engine.GraphSpec{Ref: fileInfos[sc.File].Ref}
-			}
-			js := engine.JobSpec{
-				Graph:          gs,
-				Topology:       sc.Topology,
-				Case:           sc.Case,
-				Epsilon:        spec.Epsilon,
-				Seed:           engine.BatchSeed(spec.Seed, rep, sc.Case),
-				NumHierarchies: spec.NumHierarchies,
-			}
-			if spec.SharedPartition {
-				js.PartitionSeed = engine.SharedPartitionSeed(spec.Seed, rep)
-			}
-			job, err := eng.Submit(js)
-			if err != nil {
-				// Drain what was already enqueued before failing: those
-				// jobs run regardless.
-				for _, id := range ids {
-					eng.Wait(id)
-				}
-				return nil, fmt.Errorf("bench: submitting %s rep %d: %w", sc.Name, rep, err)
-			}
-			ids = append(ids, job.ID)
+			return nil, fmt.Errorf("bench: submitting %s: %w", sc.Name, err)
 		}
 	}
 

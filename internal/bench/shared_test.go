@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/engine"
 )
 
+// TestRowsDerivedSeeds pins the partition sharing -list reveals. The
+// seed values themselves are the engine's batch algebra, pinned by its
+// own tests.
 func TestRowsDerivedSeeds(t *testing.T) {
 	spec := tinySpec() // 1 network × 1 topology × 2 cases × 2 reps
 	rows, skipped, err := Rows(spec)
@@ -17,10 +18,12 @@ func TestRowsDerivedSeeds(t *testing.T) {
 	if skipped != 0 || len(rows) != 4 {
 		t.Fatalf("got %d rows (%d skipped), want 4 (0 skipped)", len(rows), skipped)
 	}
+	seen := make(map[int64]bool)
 	for _, r := range rows {
-		if want := engine.BatchSeed(spec.Seed, r.Rep, r.Case); r.Seed != want {
-			t.Errorf("%s rep %d: seed %d, want %d", r.Name, r.Rep, r.Seed, want)
+		if seen[r.Seed] {
+			t.Errorf("%s rep %d: seed %d repeats another row's", r.Name, r.Rep, r.Seed)
 		}
+		seen[r.Seed] = true
 		if r.PartitionSeed != r.Seed {
 			t.Errorf("%s rep %d: default mode partition seed %d != job seed %d", r.Name, r.Rep, r.PartitionSeed, r.Seed)
 		}
@@ -34,9 +37,9 @@ func TestRowsDerivedSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range shared {
-		if want := engine.SharedPartitionSeed(spec.Seed, r.Rep); r.PartitionSeed != want {
-			t.Errorf("%s rep %d: shared partition seed %d, want %d", r.Name, r.Rep, r.PartitionSeed, want)
+	for i, r := range shared {
+		if r.Seed != rows[i].Seed {
+			t.Errorf("%s rep %d: shared mode changed the job seed %d -> %d", r.Name, r.Rep, rows[i].Seed, r.Seed)
 		}
 	}
 	// The sharing structure -list exists to reveal: within a rep, all
@@ -56,7 +59,9 @@ func TestRowsDerivedSeeds(t *testing.T) {
 func TestSharedPartitionRun(t *testing.T) {
 	run := func() *Results {
 		t.Helper()
-		res, err := Run(tinySpec(), RunOptions{Workers: 2, SharedPartition: true})
+		spec := tinySpec()
+		spec.SharedPartition = true
+		res, err := Run(spec, RunOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +139,9 @@ func TestSmokeSharedMatrix(t *testing.T) {
 // producing a plausible-looking pass/fail on incomparable numbers.
 func TestCompareRejectsModeMismatch(t *testing.T) {
 	def := runTiny(t)
-	shared, err := Run(tinySpec(), RunOptions{Workers: 2, SharedPartition: true})
+	spec := tinySpec()
+	spec.SharedPartition = true
+	shared, err := Run(spec, RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,9 +100,8 @@ func (e *artifactEntry) built() bool {
 // Artifact cache defaults: generous enough to hold a whole batch's
 // shared partitions at paper scale, small enough that an engine idling
 // after a huge run does not pin gigabytes. An eighth of the entries
-// (128) may hold one-shot partitions: mapbench's canonical matrices and
-// README's paper-quick matrix, submitted job by job, ask again for
-// every partition they share within that many one-shot builds.
+// (128) may hold one-shot partitions, which only single submissions
+// build: a batch's jobs, mapbench's matrices included, never do.
 const (
 	defaultArtifactEntries = 1024
 	defaultArtifactBytes   = 256 << 20

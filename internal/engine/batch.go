@@ -27,7 +27,7 @@ type BatchSpec struct {
 	Reps int `json:"reps,omitempty"`
 
 	// Epsilon, Seed and NumHierarchies are forwarded into every
-	// generated JobSpec (Seed after per-job derivation — see BatchSeed).
+	// generated JobSpec (Seed after per-job derivation — see batchSeed).
 	Epsilon        float64 `json:"epsilon,omitempty"`
 	Seed           int64   `json:"seed,omitempty"`
 	NumHierarchies int     `json:"num_hierarchies,omitempty"`
@@ -38,7 +38,7 @@ type BatchSpec struct {
 	// the same graph and only the block→PE assignment differs. Combined
 	// with the engine's artifact cache this computes each repetition's
 	// partition once instead of once per case. Off by default: the
-	// committed default folds the case into every seed (BatchSeed), so
+	// committed default folds the case into every seed (batchSeed), so
 	// existing batches stay byte-identical.
 	SharedPartition bool `json:"shared_partition,omitempty"`
 
@@ -47,20 +47,20 @@ type BatchSpec struct {
 	SkipTooSmall bool `json:"skip_too_small,omitempty"`
 }
 
-// BatchSeed derives the seed of repetition rep of a batch with base
-// seed. The bench harness derives its per-rep seeds the same way, so a
-// batch reproduces a bench matrix's jobs.
-func BatchSeed(base int64, rep int, c Case) int64 {
+// batchSeed derives the seed of repetition rep of a batch with base
+// seed. The bench harness runs each matrix scenario as a batch, so its
+// jobs carry these seeds too.
+func batchSeed(base int64, rep int, c Case) int64 {
 	return base + int64(rep)*7919 + int64(c.orDefault()-C1SCOTCH)*104729
 }
 
-// SharedPartitionSeed derives the case-independent partition seed of
-// repetition rep in SharedPartition mode. It equals BatchSeed's value
+// sharedPartitionSeed derives the case-independent partition seed of
+// repetition rep in SharedPartition mode. It equals batchSeed's value
 // for c1 (case offset zero), so the shared partition of a rep is
 // exactly the one the default mode would compute for that rep's first
 // case — same seed algebra, minus the per-case spreading that the
 // paper's shared-partition comparison deliberately avoids.
-func SharedPartitionSeed(base int64, rep int) int64 {
+func sharedPartitionSeed(base int64, rep int) int64 {
 	return base + int64(rep)*7919
 }
 
@@ -86,7 +86,7 @@ func (b BatchSpec) jobCount(limit int) (jobs, reps int, err error) {
 
 // ExpandBatch expands a batch into its per-job specs without touching
 // an engine: graphs outermost, then topologies, then reps, each job
-// seeded by BatchSeed (and SharedPartitionSeed), with the batch seed
+// seeded by batchSeed (and sharedPartitionSeed), with the batch seed
 // pinned into every graph spec. No graph is materialized and no
 // topology is built. SubmitBatch expands through it; fleet routers use
 // it to scatter a batch across replicas job by job, each routed by its
@@ -125,11 +125,11 @@ func ExpandBatch(b BatchSpec, limit int) ([]JobSpec, error) {
 					Topology:       topoSpec,
 					Case:           b.Case,
 					Epsilon:        b.Epsilon,
-					Seed:           BatchSeed(seed, rep, b.Case),
+					Seed:           batchSeed(seed, rep, b.Case),
 					NumHierarchies: b.NumHierarchies,
 				}
 				if b.SharedPartition {
-					spec.PartitionSeed = SharedPartitionSeed(seed, rep)
+					spec.PartitionSeed = sharedPartitionSeed(seed, rep)
 				}
 				specs = append(specs, spec)
 			}

@@ -84,10 +84,10 @@ func TestExpandBatchMatchesSubmitBatch(t *testing.T) {
 			t.Errorf("spec %d: ExpandBatch pinned a graph", i)
 		}
 		rep := i % batch.Reps
-		if want := BatchSeed(batch.Seed, rep, batch.Case); spec.Seed != want {
-			t.Errorf("spec %d seed = %d, want BatchSeed %d", i, spec.Seed, want)
+		if want := batchSeed(batch.Seed, rep, batch.Case); spec.Seed != want {
+			t.Errorf("spec %d seed = %d, want batchSeed %d", i, spec.Seed, want)
 		}
-		if want := SharedPartitionSeed(batch.Seed, rep); spec.PartitionSeed != want {
+		if want := sharedPartitionSeed(batch.Seed, rep); spec.PartitionSeed != want {
 			t.Errorf("spec %d partition seed = %d, want %d", i, spec.PartitionSeed, want)
 		}
 		if spec.Graph.Seed != batch.Seed {

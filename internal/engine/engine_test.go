@@ -456,11 +456,11 @@ func TestOmittedCaseDefaultsToIdentity(t *testing.T) {
 	}
 	// Seed derivation stays 0-based at C1SCOTCH, preserving the
 	// historical per-rep seeds of committed baselines.
-	if s := BatchSeed(1, 0, C1SCOTCH); s != 1 {
-		t.Errorf("BatchSeed(1,0,c1) = %d, want 1", s)
+	if s := batchSeed(1, 0, C1SCOTCH); s != 1 {
+		t.Errorf("batchSeed(1,0,c1) = %d, want 1", s)
 	}
-	if s := BatchSeed(1, 2, C2Identity); s != 1+2*7919+104729 {
-		t.Errorf("BatchSeed(1,2,c2) = %d", s)
+	if s := batchSeed(1, 2, C2Identity); s != 1+2*7919+104729 {
+		t.Errorf("batchSeed(1,2,c2) = %d", s)
 	}
 }
 

@@ -115,8 +115,8 @@ func TestSharedPartitionBatch(t *testing.T) {
 
 func TestSharedPartitionSeedAlgebra(t *testing.T) {
 	for rep := 0; rep < 3; rep++ {
-		if got, want := SharedPartitionSeed(9, rep), BatchSeed(9, rep, C1SCOTCH); got != want {
-			t.Errorf("rep %d: SharedPartitionSeed = %d, want BatchSeed(c1) = %d", rep, got, want)
+		if got, want := sharedPartitionSeed(9, rep), batchSeed(9, rep, C1SCOTCH); got != want {
+			t.Errorf("rep %d: sharedPartitionSeed = %d, want batchSeed(c1) = %d", rep, got, want)
 		}
 	}
 }

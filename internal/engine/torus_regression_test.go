@@ -21,7 +21,7 @@ func TestTorusTimerCocoInvariance(t *testing.T) {
 			Graph:          GraphSpec{Network: "PGPgiantcompo", Scale: 0.5, Seed: 1},
 			Topology:       "torus:16x16",
 			Case:           c,
-			Seed:           BatchSeed(1, 0, c),
+			Seed:           batchSeed(1, 0, c),
 			NumHierarchies: 16,
 		})
 		if err != nil {

@@ -124,8 +124,8 @@ type (
 	// BenchSpec is a declarative benchmark matrix: networks ×
 	// topologies × mapper cases × repetitions.
 	BenchSpec = bench.Spec
-	// BenchRunOptions tunes a benchmark run (workers, rep/seed
-	// overrides, progress callback).
+	// BenchRunOptions tunes a benchmark run (worker count, progress
+	// callback); reps, seed and partition mode are BenchSpec fields.
 	BenchRunOptions = bench.RunOptions
 	// BenchResults is the machine-readable outcome of a benchmark run
 	// (the BENCH_results.json schema).
