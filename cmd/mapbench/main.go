@@ -205,8 +205,8 @@ func printSummary(r *bench.Results) {
 			r.Perf.WallSeconds, r.Perf.JobsPerSec, r.Perf.Workers)
 		fmt.Printf("  %.0f ns/job   %.0f allocs/job   %.0f bytes/job\n",
 			r.Perf.NsPerJob, r.Perf.AllocsPerJob, r.Perf.BytesPerJob)
-		fmt.Printf("  artifact hit rate %.2f   partitions %d computed / %d reused\n",
-			r.Perf.ArtifactHitRate, r.Perf.PartitionsComputed, r.Perf.PartitionsReused)
+		fmt.Printf("  partitions %d computed / %d reused (artifact hit rate %.2f)\n",
+			r.Perf.PartitionsComputed, r.Perf.PartitionsReused, r.Perf.ArtifactHitRate)
 	}
 	// Base-vs-enhancement split: the two stages this repository's hot
 	// paths target (PR 3 made TIMER allocation-free; the base stage got

@@ -123,10 +123,11 @@ type RunPerf struct {
 	// bytes per job (runtime.MemStats Mallocs/TotalAlloc deltas).
 	AllocsPerJob float64 `json:"allocs_per_job"`
 	BytesPerJob  float64 `json:"bytes_per_job"`
-	// ArtifactHitRate is the fraction of the run's artifact-cache
-	// lookups (materialized graphs + partitions) served from cache or
-	// coalesced onto an in-flight build; 0 when the run made no lookup.
-	// PartitionsComputed/PartitionsReused split the run's
+	// ArtifactHitRate is the fraction of the run's partition stages the
+	// artifact cache served, PartitionsReused / (PartitionsComputed +
+	// PartitionsReused), or 0 when no job partitioned. Graph lookups do
+	// not count: how often a run resolves a graph says nothing about
+	// reuse. PartitionsComputed/PartitionsReused split the run's
 	// partition stages into multilevel runs vs cache hits — in
 	// shared-partition mode the reused column dominates.
 	ArtifactHitRate    float64 `json:"artifact_hit_rate"`

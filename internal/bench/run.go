@@ -103,11 +103,9 @@ func Run(spec Spec, opt RunOptions) (*Results, error) {
 	// Allocation counters bracket the whole run: with the scenario graphs
 	// already generated above, the delta is dominated by the pipeline
 	// work the jobs perform, giving the allocs/op and bytes/op columns
-	// of the perf trajectory. Artifact-cache counters bracket it the
-	// same way, giving the hit-rate column.
+	// of the perf trajectory.
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
-	artBefore := eng.Artifacts().Stats()
 
 	start := time.Now()
 	ids := make([]string, 0, total)
@@ -230,13 +228,9 @@ func Run(spec Spec, opt RunOptions) (*Results, error) {
 		PartitionsComputed: partComputed,
 		PartitionsReused:   partReused,
 	}
-	artAfter := eng.Artifacts().Stats()
-	delta := engine.ArtifactStats{
-		Hits:          artAfter.Hits - artBefore.Hits,
-		Misses:        artAfter.Misses - artBefore.Misses,
-		InflightWaits: artAfter.InflightWaits - artBefore.InflightWaits,
+	if n := partComputed + partReused; n > 0 {
+		res.Perf.ArtifactHitRate = float64(partReused) / float64(n)
 	}
-	res.Perf.ArtifactHitRate = delta.HitRate()
 	return res, nil
 }
 

@@ -393,8 +393,7 @@ func (c *ArtifactCache) partition(key string, oneShot bool, build func() (*parti
 }
 
 // ArtifactStats is a point-in-time snapshot of the cache's counters,
-// served by mapd's GET /v1/stats and sampled by the bench harness for
-// the artifact_hit_rate column.
+// served by mapd's GET /v1/stats.
 type ArtifactStats struct {
 	// Entries and Bytes are the cache's current footprint; CapEntries
 	// and CapBytes are the configured LRU bounds (0 = unbounded).
@@ -405,7 +404,7 @@ type ArtifactStats struct {
 	// Hits counts lookups served a finished value; InflightWaits counts
 	// lookups coalesced onto a build in progress (the single-flight
 	// savings); ErrorHits counts lookups served a cached *error* — no
-	// stage work was saved, so they stay out of the hit rate; Misses
+	// stage work was saved, so a hit rate leaves them out; Misses
 	// counts builds (including failed ones); Evictions counts entries
 	// dropped by the LRU bounds or the one-shot cap.
 	Hits          int64 `json:"hits"`
@@ -416,18 +415,6 @@ type ArtifactStats struct {
 	// Disk is the persistent tier's snapshot, or nil when the engine
 	// runs memory-only (no Options.CacheDir).
 	Disk *DiskStats `json:"disk,omitempty"`
-}
-
-// HitRate is (Hits+InflightWaits) / all value-producing lookups, or 0
-// before the first lookup. Error-serving lookups count in neither
-// numerator nor denominator: they saved nothing and would otherwise
-// report a batch of failures as a well-cached batch.
-func (s ArtifactStats) HitRate() float64 {
-	total := s.Hits + s.InflightWaits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits+s.InflightWaits) / float64(total)
 }
 
 // Stats returns the cache's counters.

@@ -38,7 +38,7 @@ type Options struct {
 	// dropping live work.
 	RetainJobs int
 	// CacheDir, when non-empty, attaches a persistent disk tier to the
-	// engine's artifact cache (see Engine.Artifacts): memory evictions
+	// engine's artifact cache (see ArtifactCache): memory evictions
 	// spill to content-addressed snapshot files under this directory,
 	// misses consult it before recomputing, and a restarted engine
 	// pointed at the same directory warm-starts from the previous
@@ -168,14 +168,21 @@ type Engine struct {
 	ingestMu    sync.Mutex
 	ingests     map[string]*ingestRecord
 	ingestStats IngestStats
+
+	// scratchMu guards scratch, the idle arena sets (see workerScratch).
+	scratchMu sync.Mutex
+	scratch   []*workerScratch
 }
 
-// workerScratch bundles the per-worker-goroutine arenas of the whole
+// workerScratch bundles one running job's arenas for the whole
 // pipeline: the TIMER scratch of the enhancement stage and the
 // base-stage scratch (partitioner + mapper) of everything before it.
-// Back-to-back jobs on one worker reuse the same warm buffers, so a
-// worker's steady state stops touching the heap once it has seen its
-// largest job.
+// The engine keeps idle sets on a last-in-first-out stack: a job pops
+// one when it starts and pushes it back as soon as its pipeline
+// returns, so back-to-back jobs reuse the same warm buffers, and the
+// engine holds as many sets as it has ever run jobs at once (at most
+// Workers), not one per worker goroutine. A set keeps its high-water
+// mark for the engine's lifetime.
 type workerScratch struct {
 	timer *core.Scratch
 	base  *mapping.Scratch
@@ -183,6 +190,28 @@ type workerScratch struct {
 
 func newWorkerScratch() *workerScratch {
 	return &workerScratch{timer: core.NewScratch(), base: mapping.NewScratch()}
+}
+
+// takeScratch pops the most recently returned arena set, or builds one
+// if none is idle.
+func (e *Engine) takeScratch() *workerScratch {
+	e.scratchMu.Lock()
+	defer e.scratchMu.Unlock()
+	n := len(e.scratch)
+	if n == 0 {
+		return newWorkerScratch()
+	}
+	ws := e.scratch[n-1]
+	e.scratch[n-1] = nil
+	e.scratch = e.scratch[:n-1]
+	return ws
+}
+
+// returnScratch pushes an arena set back for the next job to start.
+func (e *Engine) returnScratch(ws *workerScratch) {
+	e.scratchMu.Lock()
+	e.scratch = append(e.scratch, ws)
+	e.scratchMu.Unlock()
 }
 
 // New creates an engine and starts its worker pool.
@@ -263,12 +292,6 @@ func (e *Engine) QueueDepth() int { return len(e.pending) }
 // Cache exposes the engine's topology cache (shared, read-mostly).
 func (e *Engine) Cache() *TopologyCache { return e.cache }
 
-// Artifacts exposes the engine's content-addressed artifact cache:
-// materialized netgen and ingested graphs and multilevel partitions,
-// shared across jobs with single-flight coalescing and bounded to 1024
-// entries and 256 MiB.
-func (e *Engine) Artifacts() *ArtifactCache { return e.artifacts }
-
 // Topology resolves a spec through the cache, building it on first use.
 func (e *Engine) Topology(spec string) (*topology.Topology, error) {
 	return e.cache.Get(spec)
@@ -330,12 +353,15 @@ func (e *Engine) Submit(spec JobSpec) (Job, error) {
 		hash:    hash,
 	}
 	e.logSubmitted(rec, specJSON)
+	// Snapshot before a worker can see the job, so the caller always
+	// gets it queued.
+	job := rec.snapshot()
 	e.pending <- rec
 	e.jobs[rec.job.ID] = rec
 	e.order = append(e.order, rec.job.ID)
 	e.evictLocked()
 	e.mu.Unlock()
-	return rec.snapshot(), nil
+	return job, nil
 }
 
 // evictLocked drops the oldest finished job records while more than
@@ -510,9 +536,6 @@ func (e *Engine) Stats() Stats {
 
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	// Each worker owns the pipeline scratch arenas (TIMER + base stage):
-	// see workerScratch.
-	ws := newWorkerScratch()
 	for rec := range e.pending {
 		if e.draining.Load() {
 			// A draining engine executes nothing new: hand the job back to
@@ -520,11 +543,11 @@ func (e *Engine) worker() {
 			e.interrupt(rec)
 			continue
 		}
-		e.execute(rec, ws)
+		e.execute(rec)
 	}
 }
 
-func (e *Engine) execute(rec *jobRecord, ws *workerScratch) {
+func (e *Engine) execute(rec *jobRecord) {
 	e.running.Add(1)
 	defer e.running.Add(-1)
 	rec.mu.Lock()
@@ -534,7 +557,12 @@ func (e *Engine) execute(rec *jobRecord, ws *workerScratch) {
 	rec.mu.Unlock()
 	e.logRunning(rec)
 
+	// The arena set goes back before the job is logged or reported
+	// finished, so a client that waits for this job and submits its next
+	// one finds the set this job warmed instead of building another.
+	ws := e.takeScratch()
 	res, err := e.runGuarded(spec, rec, ws)
+	e.returnScratch(ws)
 	e.logFinished(rec, spec, res, err)
 
 	rec.mu.Lock()

@@ -167,6 +167,82 @@ func TestConcurrentSubmissionsDeterministic(t *testing.T) {
 	}
 }
 
+// idleScratch returns the arena sets the engine holds idle.
+func idleScratch(e *Engine) []*workerScratch {
+	e.scratchMu.Lock()
+	defer e.scratchMu.Unlock()
+	return append([]*workerScratch(nil), e.scratch...)
+}
+
+// A closed-loop client keeps one arena set however many workers the
+// engine has: a job returns its set before it is reported done, so the
+// client's next job pops the set this one warmed instead of building
+// another.
+func TestSequentialJobsReuseOneArenaSet(t *testing.T) {
+	e := New(Options{Workers: 4})
+	defer e.Close()
+
+	var warm *workerScratch
+	for i := 0; i < 60; i++ {
+		job, err := e.Submit(testJobSpec(42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Poll instead of Wait: the check then runs as soon as the job
+		// reads finished, while its worker may still be closing it, so
+		// a set returned after that point shows as missing.
+		done, _ := e.Get(job.ID)
+		for done.Status == StatusQueued || done.Status == StatusRunning {
+			done, _ = e.Get(job.ID)
+		}
+		if done.Status != StatusDone {
+			t.Fatalf("job %d failed: %s", i, done.Error)
+		}
+		idle := idleScratch(e)
+		if len(idle) != 1 {
+			t.Fatalf("after round trip %d: %d idle arena sets, want 1", i+1, len(idle))
+		}
+		if warm == nil {
+			warm = idle[0]
+		} else if idle[0] != warm {
+			t.Fatalf("round trip %d ran on a new arena set", i+1)
+		}
+	}
+}
+
+// A burst builds one arena set per job running at once, which the pool
+// size bounds.
+func TestBurstBuildsAtMostWorkersArenaSets(t *testing.T) {
+	const workers = 3
+	e := New(Options{Workers: workers})
+	defer e.Close()
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8*workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			job, err := e.Submit(testJobSpec(int64(i)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			done, err := e.Wait(job.ID)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if done.Status != StatusDone {
+				t.Errorf("job %d failed: %s", i, done.Error)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(idleScratch(e)); n < 1 || n > workers {
+		t.Fatalf("%d idle arena sets after the burst, want 1 to %d", n, workers)
+	}
+}
+
 func TestRunSyncMatchesSubmitted(t *testing.T) {
 	e := New(Options{Workers: 2})
 	defer e.Close()

@@ -99,7 +99,7 @@ func TestIngestSpoolDedupAndEvictionHealing(t *testing.T) {
 
 	// Identical bytes under a different name dedup onto the same ref,
 	// and the resident entry registers an artifact-cache hit.
-	before := e.Artifacts().Stats().Hits
+	before := e.artifacts.Stats().Hits
 	info2, dup2, err := e.IngestSpool("other-name.txt", grqcFixture, ingest.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestIngestSpoolDedupAndEvictionHealing(t *testing.T) {
 	if !dup2 || info2.Ref != info.Ref {
 		t.Fatalf("second upload: dup=%v ref=%q, want dedup onto %q", dup2, info2.Ref, info.Ref)
 	}
-	if hits := e.Artifacts().Stats().Hits; hits != before+1 {
+	if hits := e.artifacts.Stats().Hits; hits != before+1 {
 		t.Fatalf("second upload: cache hits %d, want %d", hits, before+1)
 	}
 
@@ -147,7 +147,7 @@ func TestIngestFileReingestAfterEviction(t *testing.T) {
 	}
 	// Evict the file's graph with an unrelated artifact.
 	filler := graph.NewBuilder(3).AddEdge(0, 1, 1).AddEdge(1, 2, 1).Build()
-	if _, err := e.Artifacts().Graph("graph:net:filler", func() (*graph.Graph, error) {
+	if _, err := e.artifacts.Graph("graph:net:filler", func() (*graph.Graph, error) {
 		return filler, nil
 	}); err != nil {
 		t.Fatal(err)

@@ -443,9 +443,9 @@ func moreThanOne(flags ...bool) bool {
 // of one job. The topology comes from the engine's cache and an
 // ingested graph from its registry (GraphByRef); stage is called before
 // each step begins and receives the step's duration after it ends, so
-// callers can stream progress. ws carries the calling worker's
-// reusable scratch arenas (base stage + TIMER); Run passes a fresh
-// one. The artifact cache
+// callers can stream progress. ws carries the job's reusable scratch
+// arenas (base stage + TIMER), taken from the engine's idle sets; Run
+// passes a fresh one. The artifact cache
 // memoizes whole stages across jobs: netgen graph materialization by
 // canonical spec key and multilevel partitions by (graph fingerprint,
 // K, ε, partition seed), with single-flight coalescing of concurrent

@@ -174,7 +174,9 @@ func TestContractSortedIntoMatchesQuotient(t *testing.T) {
 }
 
 // TestInducedSubgraphIntoMatchesInducedSubgraph: the monotone-remap
-// fast path must equal the Builder-based construction exactly.
+// fast path must equal the Builder-based construction exactly, and a
+// fresh destination's adjacency storage must hold exactly the induced
+// rows, not the parent's edge count.
 func TestInducedSubgraphIntoMatchesInducedSubgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var dst Graph
@@ -201,6 +203,12 @@ func TestInducedSubgraphIntoMatchesInducedSubgraph(t *testing.T) {
 			if remap[v] != wantRemap[v] {
 				t.Fatalf("trial %d: remap[%d] = %d, want %d", trial, v, remap[v], wantRemap[v])
 			}
+		}
+		var fresh Graph
+		InducedSubgraphInto(&fresh, g, vertices, nil)
+		if cap(fresh.adj) != len(dst.adj) || cap(fresh.ew) != len(dst.ew) {
+			t.Fatalf("trial %d: fresh adjacency cap %d/%d, want the induced length %d of %d",
+				trial, cap(fresh.adj), cap(fresh.ew), len(dst.adj), len(g.adj))
 		}
 		vertices = vertices[:0]
 	}

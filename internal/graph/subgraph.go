@@ -37,6 +37,8 @@ func (g *Graph) InducedSubgraph(vertices []int32) (*Graph, []int32) {
 // CSR row in order yields the same sorted adjacency Builder would
 // produce, making the result byte-equivalent to InducedSubgraph without
 // Builder's bucketing and transposition or any steady-state allocation.
+// Grown adjacency storage is sized to the induced rows, counted before
+// the copy, so a subgraph never reserves its parent's edge count.
 //
 // dst aliases caller-owned storage and is overwritten by the next call
 // into it; it must not be retained beyond that.
@@ -53,10 +55,18 @@ func InducedSubgraphInto(dst *Graph, g *Graph, vertices []int32, remap []int32) 
 		remap[v] = int32(newID)
 	}
 	ns := len(vertices)
+	m := 0
+	for _, v := range vertices {
+		for _, u := range g.adj[g.xadj[v]:g.xadj[v+1]] {
+			if remap[u] >= 0 {
+				m++
+			}
+		}
+	}
 	dst.vw = Resize(dst.vw, ns)
 	dst.xadj = Resize(dst.xadj, ns+1)
-	dst.adj = Resize(dst.adj, len(g.adj))
-	dst.ew = Resize(dst.ew, len(g.ew))
+	dst.adj = Resize(dst.adj, m)
+	dst.ew = Resize(dst.ew, m)
 
 	cur := int32(0)
 	var tvw, tew int64
@@ -79,8 +89,6 @@ func InducedSubgraphInto(dst *Graph, g *Graph, vertices []int32, remap []int32) 
 		}
 	}
 	dst.xadj[ns] = cur
-	dst.adj = dst.adj[:cur]
-	dst.ew = dst.ew[:cur]
 	dst.m = int(cur) / 2
 	dst.tvw = tvw
 	dst.tew = tew

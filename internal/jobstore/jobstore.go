@@ -401,7 +401,7 @@ func (s *Store) DoneID(hash string) (string, bool) {
 // are returned but the store stays usable: the engine treats a dead
 // log as degraded durability, not an outage.
 func (s *Store) Append(r Record) error {
-	body, err := json.Marshal(r)
+	body, err := appendRecord(nil, r)
 	if err != nil {
 		return fmt.Errorf("jobstore: encoding record: %w", err)
 	}
@@ -480,7 +480,7 @@ func (s *Store) compactLocked() error {
 		if st.Finished() {
 			r.Op, r.Result, r.Error = st.Op, st.Result, st.Error
 		}
-		body, err := json.Marshal(r)
+		body, err := appendRecord(nil, r)
 		if err != nil {
 			return fmt.Errorf("jobstore: compacting %s: %w", id, err)
 		}

@@ -94,10 +94,6 @@ type (
 	BatchSpec = engine.BatchSpec
 	// Case selects the initial-mapping baseline c1–c4.
 	Case = engine.Case
-	// ArtifactCache is the engine's content-addressed memo of
-	// materialized graphs and partitions (single-flight, LRU-bounded to
-	// 1024 entries and 256 MiB); every engine has one (Engine.Artifacts).
-	ArtifactCache = engine.ArtifactCache
 	// ArtifactCacheStats reports the artifact cache's hit/miss/in-flight
 	// counters (Engine.Stats().Artifacts, mapd GET /v1/stats).
 	ArtifactCacheStats = engine.ArtifactStats
